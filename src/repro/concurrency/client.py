@@ -14,10 +14,11 @@ from ..plan.graph import Plan
 class ClientSpec:
     """One simulated client: a stream of query plans to re-issue.
 
-    ``plans`` are serial or parallel plan templates; each submission uses
-    a fresh copy so concurrent instances never share node state.  The
-    client draws the next plan at random (the paper's "32 clients invoke
-    random simple and complex queries repeatedly").
+    ``plans`` are serial or parallel plan templates, submitted as they
+    are: the simulator only reads a plan, so concurrent instances of one
+    template share it (see :class:`~repro.engine.scheduler.PlanLayout`).
+    The client draws the next plan at random (the paper's "32 clients
+    invoke random simple and complex queries repeatedly").
     """
 
     name: str
@@ -42,10 +43,10 @@ class ClientState:
     response_times: list[float] = field(default_factory=list)
 
     def next_plan(self, rng: np.random.Generator) -> Plan:
-        """Draw the next plan (a fresh copy) and count the issue."""
+        """Draw the next plan template and count the issue."""
         index = int(rng.integers(0, len(self.spec.plans)))
         self.issued += 1
-        return self.spec.plans[index].copy()
+        return self.spec.plans[index]
 
     def done(self) -> bool:
         """True when the client hit its max_queries budget."""

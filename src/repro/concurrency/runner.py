@@ -164,7 +164,7 @@ class ConcurrentWorkload:
         simulator, states = self._start()
         # Advance the shared machine to the probe's submit time.
         self._run_until(simulator, warmup)
-        sid = simulator.submit(plan.copy(), client="probe", max_threads=max_threads)
+        sid = simulator.submit(plan, client="probe", max_threads=max_threads)
         simulator.run()
         return simulator.result(sid)
 

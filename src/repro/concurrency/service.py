@@ -113,7 +113,7 @@ class _Query:
         self, state: ClientState, template, t0: float, max_threads: int | None
     ) -> None:
         self.state = state
-        #: The drawn plan; every (re-)submission executes a fresh copy.
+        #: The drawn plan template; every (re-)submission executes it.
         self.template = template
         #: First-issue time: response times are client-perceived, so
         #: they include every retry and backoff wait.
@@ -241,7 +241,7 @@ class ResilientWorkload:
                 )
             attempt = _Try(query, disconnected)
             simulator.submit(
-                query.template.copy(),
+                query.template,
                 client=query.state.spec.name,
                 max_threads=query.max_threads,
                 on_complete=lambda _sid, _a=attempt: on_complete(_a),

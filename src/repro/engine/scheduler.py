@@ -63,8 +63,73 @@ class ExecutionResult:
         return self.profile.response_time
 
 
+class PlanLayout:
+    """The read-only scheduling skeleton of one plan.
+
+    Everything a submission needs that depends on the plan alone: the
+    initial input-wait and consumer counts, the consumer lists, the
+    leaves, the output set and -- when the simulator needs them -- node
+    fingerprints (memoization) and plan-relative node indices (fault
+    injection).  A :class:`Simulator` builds one per distinct plan
+    object and shares it between every submission of that plan, so a
+    closed-loop client re-issuing a template pays two dict copies per
+    submission instead of a plan copy and two graph walks.
+
+    Submitted plans are therefore read-only: the scheduler keeps every
+    per-execution value in the submission (keyed by ``nid``), never in
+    the plan, and a plan must not be mutated while a simulator holds
+    it.  Mutate a :meth:`~repro.plan.graph.Plan.copy` instead.
+    """
+
+    __slots__ = (
+        "plan",
+        "size",
+        "waiting",
+        "pending_consumers",
+        "consumers",
+        "is_output",
+        "leaves",
+        "fingerprints",
+        "node_index",
+    )
+
+    def __init__(
+        self, plan: Plan, *, fingerprints: bool = False, node_index: bool = False
+    ) -> None:
+        self.plan = plan
+        nodes = plan.nodes()
+        self.size = len(nodes)
+        self.waiting: dict[int, int] = {}
+        self.pending_consumers: dict[int, int] = {node.nid: 0 for node in nodes}
+        self.consumers: dict[int, list[PlanNode]] = {}
+        for node in nodes:
+            self.waiting[node.nid] = len(node.inputs)
+            for child in node.inputs:
+                self.pending_consumers[child.nid] += 1
+                self.consumers.setdefault(child.nid, []).append(node)
+        self.is_output = frozenset(out.nid for out in plan.outputs)
+        self.leaves = tuple(node for node in nodes if not node.inputs)
+        # One shared O(nodes) walk; only needed when memoization is on.
+        self.fingerprints: dict[int, bytes] = (
+            plan.fingerprints() if fingerprints else {}
+        )
+        # Plan-relative node position (nid -> index in topological
+        # order).  ``PlanNode.nid`` comes from a process-global counter,
+        # so raw nids are not reproducible across runs; the fault
+        # schedule records these stable indices instead.  Only needed
+        # when fault injection is on.
+        self.node_index: dict[int, int] = (
+            {node.nid: i for i, node in enumerate(nodes)} if node_index else {}
+        )
+
+
 class _Submission:
-    """One query instance inside the simulator."""
+    """One query instance inside the simulator.
+
+    The plan-derived tables are shared with every other submission of
+    the same plan through its :class:`PlanLayout`; only the two counter
+    maps the event loop decrements are copied.
+    """
 
     __slots__ = (
         "sid",
@@ -92,18 +157,16 @@ class _Submission:
     def __init__(
         self,
         sid: int,
-        plan: Plan,
+        layout: PlanLayout,
         submit_time: float,
         client: str,
         max_threads: int,
         on_complete: Callable[["_Submission"], None] | None,
         *,
         on_failure: Callable[[int, Exception], None] | None = None,
-        want_fingerprints: bool = False,
-        want_node_index: bool = False,
     ) -> None:
         self.sid = sid
-        self.plan = plan
+        self.plan = layout.plan
         self.client = client
         self.max_threads = max_threads
         self.on_complete = on_complete
@@ -112,36 +175,16 @@ class _Submission:
         self.failed: Exception | None = None
         self.profile = QueryProfile(submit_time=submit_time)
         self.values: dict[int, Intermediate] = {}
-        nodes = plan.nodes()
-        self.waiting: dict[int, int] = {}
-        self.pending_consumers: dict[int, int] = {nid: 0 for nid in (n.nid for n in nodes)}
-        for node in nodes:
-            self.waiting[node.nid] = len(node.inputs)
-            for child in node.inputs:
-                self.pending_consumers[child.nid] += 1
-        self.is_output = {out.nid for out in plan.outputs}
-        self.consumers: dict[int, list[PlanNode]] = {}
-        for node in nodes:
-            for child in node.inputs:
-                self.consumers.setdefault(child.nid, []).append(node)
-        self.remaining = len(nodes)
+        self.waiting: dict[int, int] = dict(layout.waiting)
+        self.pending_consumers: dict[int, int] = dict(layout.pending_consumers)
+        self.is_output = layout.is_output
+        self.consumers: dict[int, list[PlanNode]] = layout.consumers
+        self.remaining = layout.size
         self.running = 0
         self.live_bytes = 0.0
-        self.ready: deque[PlanNode] = deque(n for n in nodes if not n.inputs)
-        # One shared O(nodes) walk; only needed when memoization is on.
-        self.fingerprints: dict[int, bytes] = (
-            plan.fingerprints() if want_fingerprints else {}
-        )
-        # Plan-relative node position (nid -> index in topological
-        # order).  ``PlanNode.nid`` comes from a process-global counter,
-        # so raw nids are not reproducible across runs; the fault
-        # schedule records these stable indices instead.  Only needed
-        # when fault injection is on.
-        self.node_index: dict[int, int] = (
-            {node.nid: i for i, node in enumerate(nodes)}
-            if want_node_index
-            else {}
-        )
+        self.ready: deque[PlanNode] = deque(layout.leaves)
+        self.fingerprints: dict[int, bytes] = layout.fingerprints
+        self.node_index: dict[int, int] = layout.node_index
         #: Tracing span covering submit -> finish (None when unobserved).
         self.span = None
 
@@ -154,14 +197,12 @@ class _Submission:
 
         Long concurrent workloads complete many thousands of submissions
         on one simulator; only the output values and the profile must
-        outlive execution.
+        outlive execution.  The tables shared through the
+        :class:`PlanLayout` cost nothing per submission and stay.
         """
         self.waiting = {}
         self.pending_consumers = {}
-        self.consumers = {}
         self.ready = deque()
-        self.fingerprints = {}
-        self.node_index = {}
 
 
 class _Task:
@@ -336,6 +377,8 @@ class Simulator:
         self.now = 0.0
         self._sid_counter = itertools.count()
         self._submissions: dict[int, _Submission] = {}
+        # One layout per submitted plan object (plans hash by identity).
+        self._layouts: dict[Plan, PlanLayout] = {}
         self._queue: list[_Submission] = []  # FIFO across unfinished submissions
         self._tasks: list[_Task] = []
         self._thread_cap = thread_bandwidth_cap(config.machine, self.cost_ctx.params)
@@ -381,6 +424,11 @@ class Simulator:
         absorbs operator failures -- injected or genuine -- instead of
         letting them propagate out of :meth:`run`; resilient workload
         layers use it to retry with backoff.
+
+        The plan is read, never written: one plan object may be
+        submitted any number of times, concurrently, and its
+        :class:`PlanLayout` is built only on the first submission.  It
+        must not be mutated while this simulator holds it.
         """
         limit = max_threads if max_threads is not None else self.config.effective_threads
         limit = min(limit, self.config.machine.hardware_threads)
@@ -392,16 +440,15 @@ class Simulator:
             def wrapped(sub: _Submission, _cb=callback) -> None:
                 _cb(sub.sid)
 
+        layout = self._layouts.get(plan)
+        if layout is None:
+            layout = self._layouts[plan] = PlanLayout(
+                plan,
+                fingerprints=self.memo is not None,
+                node_index=self.faults is not None,
+            )
         sub = _Submission(
-            sid,
-            plan,
-            self.now,
-            client,
-            limit,
-            wrapped,
-            on_failure=on_failure,
-            want_fingerprints=self.memo is not None,
-            want_node_index=self.faults is not None,
+            sid, layout, self.now, client, limit, wrapped, on_failure=on_failure
         )
         self._submissions[sid] = sub
         obs = self.observe

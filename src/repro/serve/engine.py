@@ -293,7 +293,7 @@ class ServeEngine:
         submitted: list[tuple[_Job, int]] = []
         for job in jobs:
             try:
-                plan = self.plans.plan(job.sql)
+                plan = self.plans.template(job.sql)
             except ReproError as exc:
                 self._fail(job, exc)
                 continue
@@ -330,7 +330,7 @@ class ServeEngine:
         # Solo run, fresh observer, no memo: canonical bytes depend on
         # (plan, config) only -- backend- and history-invariant.
         try:
-            plan = self.plans.template(job.sql).copy()
+            plan = self.plans.template(job.sql)
         except ReproError as exc:
             self._fail(job, exc)
             return

@@ -58,8 +58,8 @@ class TenantLoad:
 
     tenant: str
     clients: int
-    #: Plan templates the tenant's clients draw from (each submission
-    #: executes a fresh copy).
+    #: Plan templates the tenant's clients draw from (every submission
+    #: executes the shared template; the simulator never mutates it).
     plans: tuple[Plan, ...]
     #: Mean think time between one client's queries, simulated seconds.
     think_mean: float = 0.25
@@ -221,7 +221,7 @@ class TenantLoadService:
             query.submitted = True
             attempt = _SAttempt(query)
             simulator.submit(
-                query.template.copy(),
+                query.template,
                 client=query.spec.name,
                 max_threads=query.max_threads,
                 on_complete=lambda _sid, _a=attempt: on_complete(_a),

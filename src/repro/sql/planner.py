@@ -77,10 +77,13 @@ class PlanCache:
     A SQL service sees the same statement texts over and over (every
     loadgen tenant hammers a small mix); parsing and planning them anew
     per request is pure waste.  The cache memoizes the *serial plan
-    template* per normalized statement text and hands out a fresh
-    :meth:`~repro.plan.graph.Plan.copy` per request, so concurrent
-    submissions never share mutable node state -- exactly the template
-    discipline :class:`~repro.concurrency.client.ClientSpec` uses.
+    template* per normalized statement text.  :meth:`template` hands out
+    the shared template itself, which is what execution wants: the
+    simulator never mutates a submitted plan, so concurrent submissions
+    of one statement share it -- exactly the template discipline
+    :class:`~repro.concurrency.client.ClientSpec` uses.  :meth:`plan`
+    returns a private :meth:`~repro.plan.graph.Plan.copy` for callers
+    that mean to mutate it (an adaptive optimization, say).
 
     Planning errors are **not** cached: a typo'd statement costs its
     author a re-parse, and a catalog fixed between requests is picked
@@ -104,11 +107,12 @@ class PlanCache:
         return " ".join(text.split())
 
     def plan(self, text: str) -> Plan:
-        """A fresh copy of the (possibly cached) plan for ``text``."""
+        """A fresh, mutable copy of the (possibly cached) plan for ``text``."""
         return self.template(text).copy()
 
     def template(self, text: str) -> Plan:
-        """The shared cached template itself (callers must not mutate)."""
+        """The shared cached template itself (callers must not mutate it;
+        submitting it to a simulator is fine)."""
         key = self._key(text)
         cached = self._plans.get(key)
         if cached is not None:

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from repro.baselines import VectorwiseSystem
-from repro.concurrency import ClientSpec, ConcurrentWorkload
+from repro.chaos import FaultPlan
+from repro.concurrency import ClientSpec, ConcurrentWorkload, ResilientWorkload
 from repro.config import SimulationConfig, laptop_machine
 from repro.core import HeuristicParallelizer
 from repro.engine import execute
 from repro.errors import ReproError
 from repro.operators import RangePredicate
-from repro.plan import PlanBuilder
+from repro.plan import Plan, PlanBuilder
 from repro.storage import Catalog, LNG, Table
 
 
@@ -118,6 +119,22 @@ class TestConcurrentWorkload:
         # The old horizon-based rate would be ~3/100; the real rate is
         # orders of magnitude higher.
         assert report.throughput() > 3 / report.horizon * 10
+
+    def test_submissions_share_the_templates(self, catalog, config, monkeypatch):
+        plan = HeuristicParallelizer(4).parallelize(make_plan(catalog))
+        clients = [ClientSpec(name=f"c{i}", plans=[plan]) for i in range(4)]
+
+        def refuse(_plan):
+            raise AssertionError("a plan template was copied per submission")
+
+        monkeypatch.setattr(Plan, "copy", refuse)
+        assert ConcurrentWorkload(config, clients, horizon=1.0).run().completed() > 4
+        probe = ConcurrentWorkload(config, clients, horizon=1.0).measure_plan(plan)
+        assert probe.outputs[0].value == execute(plan, config).outputs[0].value
+        resilient = ResilientWorkload(
+            config, clients, horizon=1.0, faults=FaultPlan(straggler_rate=0.1)
+        )
+        assert resilient.run().completed() > 4
 
     def test_invalid_horizon(self, catalog, config):
         with pytest.raises(ReproError):

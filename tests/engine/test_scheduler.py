@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.chaos import FaultInjector, FaultPlan
 from repro.config import NoiseConfig, SimulationConfig, laptop_machine
 from repro.core.heuristic import HeuristicParallelizer
-from repro.engine import Simulator, execute
+from repro.engine import IntermediateCache, Simulator, execute
 from repro.errors import SchedulerError
 from repro.operators import Aggregate, Fetch, RangePredicate, Scan, Select
 from repro.plan import Plan, PlanBuilder
@@ -131,6 +132,52 @@ class TestParallelismEffects:
         for sid in sids:
             value = sim.result(sid).outputs[0].value
             assert value == expected_sum(catalog)
+
+
+class TestSharedPlans:
+    """One plan object submitted many times, concurrently, uncopied."""
+
+    @pytest.mark.parametrize("memoize", [False, True])
+    def test_shared_template_runs_like_copies(self, memoize):
+        catalog = TestParallelismEffects()._column_catalog()
+        config = SimulationConfig(machine=laptop_machine(8), data_scale=1000.0)
+        plan = HeuristicParallelizer(8).parallelize(pipeline_plan(catalog))
+
+        def run(plans):
+            faults = FaultInjector(
+                FaultPlan(straggler_rate=0.2, straggler_slowdown=3.0), seed=5
+            )
+            sim = Simulator(
+                config,
+                memo=IntermediateCache() if memoize else None,
+                faults=faults,
+            )
+            sids = [sim.submit(p, client=f"c{i}") for i, p in enumerate(plans)]
+            sim.run()
+            results = [sim.result(sid) for sid in sids]
+            return (
+                [r.response_time for r in results],
+                [r.outputs[0].value for r in results],
+                [event.as_tuple() for event in faults.schedule],
+            )
+
+        shared = run([plan] * 4)
+        copied = run([plan.copy() for __ in range(4)])
+        assert shared == copied
+        assert shared[1] == [expected_sum(catalog)] * 4
+
+    def test_layout_built_once_and_plan_untouched(self, small_catalog, sim_config):
+        plan = pipeline_plan(small_catalog)
+        shape = [(n.nid, [c.nid for c in n.inputs]) for n in plan.nodes()]
+        fingerprints = plan.fingerprints()
+        sim = Simulator(sim_config, memo=IntermediateCache())
+        sids = [sim.submit(plan) for __ in range(3)]
+        sim.run()
+        assert len(sim._layouts) == 1
+        for sid in sids:
+            assert sim.result(sid).outputs[0].value == expected_sum(small_catalog)
+        assert [(n.nid, [c.nid for c in n.inputs]) for n in plan.nodes()] == shape
+        assert plan.fingerprints() == fingerprints
 
 
 class TestNoise:

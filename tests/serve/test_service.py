@@ -15,6 +15,7 @@ import pytest
 from repro.chaos import CHAOS_HEAVY, CHAOS_LIGHT
 from repro.errors import ServeError
 from repro.observe import MetricsRegistry
+from repro.plan import Plan
 from repro.serve import (
     TenantDirectory,
     TenantLoad,
@@ -63,6 +64,16 @@ class TestDeterminism:
         a = _report_bytes(_run(serve_config, serve_plans, faults=CHAOS_LIGHT))
         b = _report_bytes(_run(serve_config, serve_plans, faults=CHAOS_LIGHT))
         assert a == b
+
+    def test_submissions_share_the_templates(
+        self, serve_config, serve_plans, monkeypatch
+    ):
+        def refuse(_plan):
+            raise AssertionError("a plan template was copied per submission")
+
+        monkeypatch.setattr(Plan, "copy", refuse)
+        report = _run(serve_config, serve_plans, faults=CHAOS_LIGHT)
+        assert sum(t.completed for t in report.tenants.values()) > 0
 
     def test_seed_changes_the_run(self, serve_config, serve_plans):
         service = TenantLoadService(
