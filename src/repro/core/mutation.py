@@ -39,7 +39,7 @@ from ..operators.exchange import Pack
 from ..operators.groupby import AggrMerge, GroupAggregate, merge_func_for
 from ..operators.slice import FRACTION_UNITS, PartitionSlice
 from ..operators.sort import Sort
-from ..plan.analysis import AnalysisReport, analyze_plan
+from ..plan.analysis import AnalysisReport, PlanAnalysis, analyze_plan
 from ..plan.graph import Plan, PlanNode
 from .expensive import (
     PARTITIONED_INPUTS,
@@ -91,6 +91,65 @@ class MutationRejection:
 _PlanSnapshot = tuple[list[tuple[PlanNode, list[PlanNode], int | None]], list[PlanNode]]
 
 
+class _Readers:
+    """Who reads each node of a plan (``nid`` -> consumer nodes).
+
+    Built with one graph walk, in :meth:`Plan.consumers` order (plan
+    topological), then kept current through the mutator's edits, which
+    append new readers.  The mutator only depends on the order of lists
+    it reads before the first edit of an attempt.
+    """
+
+    def __init__(self, plan: Plan) -> None:
+        self.plan = plan
+        self.lists: dict[int, list[PlanNode]] = {}
+        for node in plan.nodes():  # topological: inputs are registered first
+            self._register(node)
+
+    def __call__(self, node: PlanNode) -> list[PlanNode]:
+        return self.lists[node.nid]
+
+    def _register(self, node: PlanNode) -> None:
+        """Add a node entering the plan, and every fresh node it reads."""
+        self.lists[node.nid] = []
+        for child in node.inputs:
+            if child.nid not in self.lists:
+                self._register(child)
+        for child in node.inputs:
+            readers = self.lists[child.nid]
+            if not readers or readers[-1] is not node:
+                readers.append(node)
+
+    def _prune(self, node: PlanNode) -> None:
+        """Drop ``node`` once nothing reads it (unless it is an output);
+        its inputs then lose a reader in turn."""
+        if self.lists[node.nid] or node in self.plan.outputs:
+            return
+        del self.lists[node.nid]
+        for child in dict.fromkeys(node.inputs):
+            self.lists[child.nid].remove(node)
+            self._prune(child)
+
+    def spliced(self, pack: PlanNode, old: PlanNode, clones: list[PlanNode]) -> None:
+        """``clones`` took ``old``'s slot among ``pack``'s inputs."""
+        for clone in clones:
+            if clone.nid not in self.lists:
+                self._register(clone)
+            self.lists[clone.nid].append(pack)
+        self.lists[old.nid].remove(pack)
+        self._prune(old)
+
+    def replaced(self, old: PlanNode, new: PlanNode, consumers: list[PlanNode]) -> None:
+        """``new`` took ``old``'s place for ``consumers`` and in the outputs."""
+        if new.nid not in self.lists:
+            self._register(new)
+        self.lists[new.nid].extend(consumers)
+        readers = self.lists[old.nid]
+        for consumer in consumers:
+            readers.remove(consumer)
+        self._prune(old)
+
+
 class PlanMutator:
     """Applies one mutation per call to :meth:`mutate`, in place.
 
@@ -117,6 +176,10 @@ class PlanMutator:
         self.rejections: list[MutationRejection] = []
         #: Analyzer report for the most recently *accepted* mutation.
         self.last_report: AnalysisReport | None = None
+        #: The gate's per-node results, reused by the next analysis.
+        self._analysis = PlanAnalysis()
+        #: Consumer lists of ``plan``, built lazily once per mutate() call.
+        self._readers: _Readers | None = None
 
     # ------------------------------------------------------------------
     def mutate(self, profile: QueryProfile) -> MutationResult | None:
@@ -125,6 +188,12 @@ class PlanMutator:
         Returns ``None`` when no operator in the plan can be mutated any
         further (the plan is fully parallelized or suppressed).
         """
+        try:
+            return self._mutate(profile)
+        finally:
+            self._readers = None  # valid for this call only
+
+    def _mutate(self, profile: QueryProfile) -> MutationResult | None:
         for cand in candidates(self.plan, profile, blocked=self.blocked):
             snapshot = self._snapshot() if self.analyze else None
             result = self._apply(cand)
@@ -132,7 +201,9 @@ class PlanMutator:
                 if snapshot is None:
                     return result
                 report = analyze_plan(
-                    self.plan, pack_fanin_limit=self.pack_fanin_limit
+                    self.plan,
+                    pack_fanin_limit=self.pack_fanin_limit,
+                    reuse=self._analysis,
                 )
                 if not report.has_errors:
                     self.last_report = report
@@ -143,6 +214,16 @@ class PlanMutator:
                 self.rejections.append(MutationRejection(result, report))
             self.blocked.add(cand.node.nid)
         return None
+
+    def _reader_map(self) -> _Readers:
+        """The consumer map of this mutate() call, built on first use."""
+        if self._readers is None:
+            self._readers = _Readers(self.plan)
+        return self._readers
+
+    def _consumers(self, node: PlanNode) -> list[PlanNode]:
+        """Nodes that read ``node``."""
+        return self._reader_map()(node)
 
     # ------------------------------------------------------------------
     def _snapshot(self) -> _PlanSnapshot:
@@ -157,6 +238,7 @@ class PlanMutator:
             node.inputs = inputs
             node.order_key = order_key
         self.plan.outputs = outputs
+        self._readers = None  # rebuilt from the restored plan on demand
 
     def _apply(self, cand: MutationCandidate) -> MutationResult | None:
         if cand.scheme == "basic":
@@ -213,7 +295,7 @@ class PlanMutator:
         # can never be removed (plan-explosion suppression) and ossifies
         # into a serial barrier.  Remove it *now*, while removal is still
         # allowed, and let the propagated clones keep evolving.
-        consumers = self.plan.consumers(node)
+        consumers = self._consumers(node)
         if (
             node.order_key is not None
             and len(consumers) == 1
@@ -244,7 +326,7 @@ class PlanMutator:
         sources: dict[int, PlanNode] = {}
         for idx in part_idxs:
             src = node.inputs[idx]
-            if src.kind == "slice" and self.plan.consumers(src) == [node]:
+            if src.kind == "slice" and self._consumers(src) == [node]:
                 here = (src.op.lo, src.op.hi)
                 sources[idx] = src.inputs[0]
             else:
@@ -309,7 +391,8 @@ class PlanMutator:
         partitions of a dynamically partitioned operator.  Otherwise a
         new union (plus combiner for blocking operators) replaces ``old``.
         """
-        consumers = self.plan.consumers(old)
+        readers = self._reader_map()
+        consumers = readers(old)
         if (
             old.order_key is not None
             and len(consumers) == 1
@@ -320,12 +403,19 @@ class PlanMutator:
             pack_node = consumers[0]
             slot = pack_node.inputs.index(old)
             pack_node.inputs[slot : slot + 1] = clones
+            readers.spliced(pack_node, old, clones)
             return pack_node
         pack_node = PlanNode(Pack(), clones)
         top = pack_node
         if combiner is not None:
             top = PlanNode(combiner, [pack_node])
-        self.plan.replace_node(old, top)
+        # ``old``'s readers are known: rewire them directly rather than
+        # through Plan.replace_node, which walks the plan to find them.
+        consumers = list(consumers)
+        for node in consumers:
+            node.inputs = [top if child is old else child for child in node.inputs]
+        self.plan.outputs = [top if out is old else out for out in self.plan.outputs]
+        readers.replaced(old, top, consumers)
         return top
 
     # ------------------------------------------------------------------
@@ -338,7 +428,7 @@ class PlanMutator:
             return None
         if pack_node in self.plan.outputs:
             return None
-        consumers = self.plan.consumers(pack_node)
+        consumers = self._consumers(pack_node)
         if not consumers:
             return None
         plans = []

@@ -11,8 +11,9 @@ determinism contract; a backend decides *where* the numpy work runs:
     A persistent ``ThreadPoolExecutor``.  Cheap dispatch, shared address
     space -- but numpy kernels at this dataset scale mostly hold the GIL,
     so threads buy little wall-clock (BENCH_wallclock.json v2 measured
-    ``worker_speedup`` 0.978).  Still the default: it is safe everywhere
-    and never slower than inline by more than dispatch overhead.
+    ``worker_speedup`` 0.978).  A batch whose operators all evaluated
+    faster than :data:`THREAD_MIN_JOB_SECONDS` last time stays on the
+    calling thread.  Still the default: it is safe everywhere.
 ``process``
     A persistent pool of worker *processes* fed through
     :mod:`repro.engine.shm`: base columns are published once into
@@ -40,7 +41,10 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
-from concurrent.futures import Future, ThreadPoolExecutor
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+from math import inf
+from time import perf_counter
 from typing import Any, Callable, Sequence
 
 from ..errors import BackendUnavailableError, ReproError
@@ -68,6 +72,14 @@ PROCESS_START_ENV = "REPRO_PROCESS_START"
 PROCESS_MIN_SHIP_BYTES = int(
     os.environ.get("REPRO_PROCESS_MIN_SHIP_BYTES", 16 * 1024)
 )
+
+#: An operator batch runs on the calling thread under the thread backend
+#: when every operator in it took less host time than this at its last
+#: evaluation (wherever that ran); otherwise the whole batch goes to the
+#: pool.  Two pool threads running such small numpy kernels mostly pass
+#: the GIL back and forth, so handing them over costs more than it saves.
+#: Operators never timed always go to the pool.
+THREAD_MIN_JOB_SECONDS = 1e-3
 
 #: The default backend when neither argument nor environment chooses.
 DEFAULT_BACKEND = "thread"
@@ -125,8 +137,25 @@ class InlineBackend(EvalBackend):
         return [job() for job in jobs]
 
 
+def _timed(job: Job) -> tuple[Any, float]:
+    """Run ``job``; its result and the host seconds it took."""
+    start = perf_counter()
+    result = job()
+    return result, perf_counter() - start
+
+
 class ThreadBackend(EvalBackend):
-    """A persistent ``ThreadPoolExecutor`` (the historical EvalPool)."""
+    """A persistent ``ThreadPoolExecutor`` (the historical EvalPool).
+
+    Every operator job is timed where it runs, and the operator's last
+    host time decides where its next batch runs: a batch of operators
+    all timed under :data:`THREAD_MIN_JOB_SECONDS` runs on the calling
+    thread, any other batch -- in particular one holding an operator
+    not timed yet -- goes to the pool whole.  A one-shot execution
+    therefore ships every batch; the adaptive loop, which re-runs the
+    same operators, keeps its cheap kernels local.  Where a job runs
+    never changes its result, so the choice may depend on host timing.
+    """
 
     name = "thread"
     boundary = "thread"
@@ -134,6 +163,11 @@ class ThreadBackend(EvalBackend):
     def __init__(self, workers: int) -> None:
         super().__init__(workers)
         self._executor: ThreadPoolExecutor | None = None
+        #: Host seconds of each operator's last evaluation.
+        self._seconds: weakref.WeakKeyDictionary[Any, float] = (
+            weakref.WeakKeyDictionary()
+        )
+        self.shipped_jobs = 0
 
     def run(
         self,
@@ -141,16 +175,35 @@ class ThreadBackend(EvalBackend):
         ops: Sequence[Any] | None = None,
         inputs: Sequence[Sequence[Intermediate]] | None = None,
     ) -> list[Any]:
+        seconds = self._seconds
+        if ops is not None and all(
+            seconds.get(op, inf) < THREAD_MIN_JOB_SECONDS for op in ops
+        ):
+            results = []
+            for op, job in zip(ops, jobs):
+                start = perf_counter()
+                results.append(job())
+                seconds[op] = perf_counter() - start
+            return results
         if self._executor is None:
             self._executor = ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-eval"
             )
-        futures: list[Future[Any]] = [
-            self._executor.submit(job) for job in jobs
-        ]
+        self.shipped_jobs += len(jobs)
+        futures = [self._executor.submit(_timed, job) for job in jobs]
+        results = []
         # ``result()`` re-raises in submission order, which is the
-        # dispatch order -- identical to the serial engine.
-        return [future.result() for future in futures]
+        # dispatch order -- identical to the serial engine.  Pool timings
+        # include waits for the GIL, so they err toward the pool.
+        for index, future in enumerate(futures):
+            result, elapsed = future.result()
+            if ops is not None:
+                seconds[ops[index]] = elapsed
+            results.append(result)
+        return results
+
+    def extra_stats(self) -> dict[str, float | int]:
+        return {"shipped_jobs": self.shipped_jobs}
 
     def close(self) -> None:
         if self._executor is not None:
@@ -461,6 +514,7 @@ __all__ = [
     "DEFAULT_BACKEND",
     "PROCESS_MIN_SHIP_BYTES",
     "PROCESS_START_ENV",
+    "THREAD_MIN_JOB_SECONDS",
     "EvalBackend",
     "InlineBackend",
     "ProcessBackend",

@@ -111,7 +111,7 @@ class PlanLayout:
         self.leaves = tuple(node for node in nodes if not node.inputs)
         # One shared O(nodes) walk; only needed when memoization is on.
         self.fingerprints: dict[int, bytes] = (
-            plan.fingerprints() if fingerprints else {}
+            plan.fingerprints(nodes) if fingerprints else {}
         )
         # Plan-relative node position (nid -> index in topological
         # order).  ``PlanNode.nid`` comes from a process-global counter,
@@ -871,34 +871,13 @@ class Simulator:
         else:
             del demand[socket]
 
-    def _rates(self) -> list[tuple[float, float]]:
-        """(cpu_rate, mem_rate) for each running task, given contention.
-
-        Kept for instrumentation; the event loop inlines the same math.
-        """
-        machine = self.machine
-        socket_demand = self._socket_mem_demand
-        socket_bw = self.config.machine.mem_bandwidth_gbps * 1e9
-        thread_cap = self._thread_cap
-        remote_factor = self.config.machine.numa_remote_factor
-        rates = []
-        for task in self._tasks:
-            cpu_rate = machine.compute_rate(task.thread)
-            n_mem = socket_demand.get(task.thread.socket_id, 0)
-            if n_mem > 0:
-                mem_rate = min(thread_cap, socket_bw / n_mem)
-            else:
-                mem_rate = thread_cap
-            if task.remote:
-                mem_rate *= remote_factor
-            rates.append((cpu_rate, mem_rate))
-        return rates
-
     def _advance(self) -> None:
         # The innermost simulator loop: runs once per event over every
-        # running task, so the rate model is inlined (same math as
-        # ``_rates``/``MachineState.compute_rate``) and per-task values
-        # are kept in parallel lists instead of tuples.
+        # running task, so the rate model is inlined (the cpu rate is
+        # ``MachineState.compute_rate``'s math; memory bandwidth is shared
+        # by the socket's memory-active tasks, capped per thread and
+        # scaled for remote access) and per-task values are kept in
+        # parallel lists instead of tuples.
         tasks = self._tasks
         spec = self.config.machine
         core_busy = self.machine._core_busy

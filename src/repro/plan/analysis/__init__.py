@@ -20,8 +20,10 @@ structured diagnostics (rule id, severity, node ids, message, fix hint):
    unions that double-count or drop shard rows.
 
 Consumers: ``PlanMutator`` rejects mutation candidates that introduce
-``error`` diagnostics, ``execute(..., analyze=True)`` refuses to run
-broken plans, and the ``repro lint`` CLI command reports on demand.
+``error`` diagnostics (keeping a :class:`PlanAnalysis` so each mutation
+re-runs the per-node rules only where it changed the plan),
+``execute(..., analyze=True)`` refuses to run broken plans, and the
+``repro lint`` CLI command reports on demand.
 See ``docs/plan_analysis.md`` for the rule catalog and severity policy.
 """
 
@@ -30,6 +32,8 @@ from .framework import (
     DEFAULT_PACK_FANIN_LIMIT,
     AnalysisContext,
     AnalysisPass,
+    NodeRule,
+    PlanAnalysis,
     analyze_plan,
     default_passes,
 )
@@ -49,7 +53,9 @@ __all__ = [
     "Diagnostic",
     "LineagePass",
     "LintPass",
+    "NodeRule",
     "PartitionSafetyPass",
+    "PlanAnalysis",
     "SEVERITIES",
     "Shape",
     "analyze_plan",

@@ -27,7 +27,7 @@ from ...operators.aggregate import Aggregate
 from ...operators.groupby import AggrMerge, GroupAggregate, merge_func_for
 from ...operators.sort import Sort
 from ..graph import PlanNode
-from .framework import AnalysisContext, AnalysisPass
+from .framework import AnalysisContext, AnalysisPass, NodeRule
 
 #: Operators whose output does not depend on their input's tuple order
 #: (they sort, hash, or reduce): traversal of order-sensitivity stops.
@@ -45,11 +45,14 @@ class DeterminismPass(AnalysisPass):
 
     name = "determinism"
 
-    def run(self, ctx: AnalysisContext) -> None:
-        for node in ctx.nodes:
-            if node.kind == "pack":
-                self._check_order_keys(ctx, node)
-            self._check_combiner(ctx, node)
+    def rules(self) -> tuple[NodeRule, ...]:
+        # A combiner is checked against the partials below its pack.
+        return (NodeRule("races", self._check_node, depth=2),)
+
+    def _check_node(self, ctx: AnalysisContext, node: PlanNode) -> None:
+        if node.kind == "pack":
+            self._check_order_keys(ctx, node)
+        self._check_combiner(ctx, node)
 
     # ------------------------------------------------------------------
     # Unordered packs
@@ -67,6 +70,9 @@ class DeterminismPass(AnalysisPass):
             )
         if len(pack.inputs) < 2 or None not in keys:
             return
+        # The sink search reads the plan above the pack, which any edit
+        # up there can change.
+        ctx.mark_volatile()
         sink = self._order_sensitive_sink(ctx, pack)
         if sink is not None and sink.kind in _ORDER_SENSITIVE:
             ctx.emit(
@@ -102,14 +108,21 @@ class DeterminismPass(AnalysisPass):
         self, ctx: AnalysisContext, pack: PlanNode
     ) -> PlanNode | None:
         """The first order-sensitive consumer the pack's tuple order can
-        reach, or a pseudo 'output' sink, or None when fully absorbed."""
+        reach, or a pseudo 'output' sink, or None when fully absorbed.
+
+        Packs of one plan share the region above them, so a search that
+        finds nothing records what it walked in ``ctx.absorbed`` and later
+        searches of the same run skip it: nothing reachable from there is
+        a sink, so the skip changes no result.
+        """
         outputs = {out.nid for out in ctx.plan.outputs}
+        absorbed = ctx.absorbed
         seen: set[int] = set()
         frontier = [pack]
         reached_output: PlanNode | None = None
         while frontier:
             node = frontier.pop()
-            if node.nid in seen:
+            if node.nid in seen or node.nid in absorbed:
                 continue
             seen.add(node.nid)
             if node is not pack:
@@ -120,6 +133,8 @@ class DeterminismPass(AnalysisPass):
             if node.nid in outputs:
                 reached_output = node
             frontier.extend(ctx.consumers.get(node.nid, ()))
+        if reached_output is None:
+            absorbed |= seen
         return reached_output
 
     # ------------------------------------------------------------------

@@ -27,7 +27,7 @@ from ...operators.sort import TopN
 from ...storage.dtypes import DBL, LNG, OID, DataType
 from ..graph import PlanNode
 from ..validate import arity_of
-from .framework import AnalysisContext, AnalysisPass
+from .framework import AnalysisContext, AnalysisPass, NodeRule
 
 #: Intermediate families, matching the runtime types in repro.storage.column.
 SLICE, CANDS, BAT, SCALAR, UNKNOWN = "slice", "cands", "bat", "scalar", "unknown"
@@ -86,9 +86,9 @@ class LineagePass(AnalysisPass):
 
     name = "lineage"
 
-    def run(self, ctx: AnalysisContext) -> None:
-        for node in ctx.nodes:  # topological: inputs are already shaped
-            ctx.shapes[node.nid] = self._shape(ctx, node)
+    def rules(self) -> tuple[NodeRule, ...]:
+        # Topological sweep: a node's inputs are already shaped.
+        return (NodeRule("shape", self._shape, publishes="shapes"),)
 
     # ------------------------------------------------------------------
     def _shape(self, ctx: AnalysisContext, node: PlanNode) -> Shape:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ...operators.slice import PartitionSlice
 from ..graph import PlanNode
-from .framework import AnalysisContext, AnalysisPass
+from .framework import AnalysisContext, AnalysisPass, NodeRule
 
 
 class LintPass(AnalysisPass):
@@ -26,12 +26,14 @@ class LintPass(AnalysisPass):
 
     name = "lint"
 
-    def run(self, ctx: AnalysisContext) -> None:
-        for node in ctx.nodes:
-            if node.kind == "pack":
-                self._lint_pack(ctx, node)
-            elif isinstance(node.op, PartitionSlice):
-                self._lint_slice(ctx, node)
+    def rules(self) -> tuple[NodeRule, ...]:
+        return (NodeRule("smells", self._lint_node),)
+
+    def _lint_node(self, ctx: AnalysisContext, node: PlanNode) -> None:
+        if node.kind == "pack":
+            self._lint_pack(ctx, node)
+        elif isinstance(node.op, PartitionSlice):
+            self._lint_slice(ctx, node)
 
     # ------------------------------------------------------------------
     def _lint_pack(self, ctx: AnalysisContext, pack: PlanNode) -> None:

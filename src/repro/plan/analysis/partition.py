@@ -25,11 +25,12 @@ Rules: ``partition.overlap`` (error), ``partition.gap`` (error),
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ...operators.exchange import Pack
 from ...operators.slice import FRACTION_UNITS, PartitionSlice, ValuePartition
 from ..graph import PlanNode
-from .framework import AnalysisContext, AnalysisPass
+from .framework import AnalysisContext, AnalysisPass, NodeRule
 
 #: base key -> (lo, hi) fraction interval of that base covered by a node.
 IntervalMap = dict[object, tuple[Fraction, Fraction]]
@@ -51,16 +52,23 @@ class PartitionSafetyPass(AnalysisPass):
 
     name = "partition"
 
+    def rules(self) -> tuple[NodeRule, ...]:
+        return (
+            NodeRule("intervals", self._intervals, publishes="intervals"),
+            # A pack branch's value-partition chain is read four levels
+            # below the branch (see _find_vpartition).
+            NodeRule("packs", self._check_packs, depth=5),
+        )
+
     def run(self, ctx: AnalysisContext) -> None:
-        for node in ctx.nodes:  # topological
-            ctx.intervals[node.nid] = self._intervals(ctx, node)
-        for node in ctx.nodes:
-            # Type, not kind: Gather (kind "gather") is a Pack subclass
-            # and its cross-node union needs the same tiling proof.
-            if isinstance(node.op, Pack):
-                self._check_pack(ctx, node)
-                self._check_value_partitions(ctx, node)
         self._check_output_coverage(ctx)
+
+    def _check_packs(self, ctx: AnalysisContext, node: PlanNode) -> None:
+        # Type, not kind: Gather (kind "gather") is a Pack subclass and
+        # its cross-node union needs the same tiling proof.
+        if isinstance(node.op, Pack):
+            self._check_pack(ctx, node)
+            self._check_value_partitions(ctx, node)
 
     # ------------------------------------------------------------------
     # Interval propagation
@@ -152,7 +160,10 @@ class PartitionSafetyPass(AnalysisPass):
                 # (reported as ``partition.unknown-base`` at the pack).
                 continue
             known = [e for e in entries if e is not None]
-            union[base] = (min(e[0] for e in known), max(e[1] for e in known))
+            scaled = _scaled(known)
+            first = min(range(len(known)), key=lambda i: scaled[i][0])
+            last = max(range(len(known)), key=lambda i: scaled[i][1])
+            union[base] = (known[first][0], known[last][1])
         return union
 
     # ------------------------------------------------------------------
@@ -166,8 +177,8 @@ class PartitionSafetyPass(AnalysisPass):
         for base in bases:
             entries = [m.get(base) for m in maps]
             known = [e for e in entries if e is not None]
-            distinct = set(known)
-            if len(distinct) <= 1:
+            scaled = _scaled(known)
+            if len(set(scaled)) <= 1:
                 # Every input covers the same range (a shared operand such
                 # as an unsplit join inner): nothing to tile.
                 continue
@@ -181,7 +192,7 @@ class PartitionSafetyPass(AnalysisPass):
                     pack,
                 )
                 continue
-            self._check_tiling(ctx, pack, base, entries)
+            self._check_tiling(ctx, pack, base, entries, scaled)
 
     def _check_tiling(
         self,
@@ -189,9 +200,10 @@ class PartitionSafetyPass(AnalysisPass):
         pack: PlanNode,
         base: object,
         entries: list[tuple[Fraction, Fraction]],
+        scaled: list[tuple[int, int]],
     ) -> None:
         base_name = self._base_name(ctx, base)
-        order = sorted(range(len(entries)), key=lambda i: entries[i])
+        order = sorted(range(len(entries)), key=scaled.__getitem__)
         if order != sorted(order):
             pretty = [_fmt(entries[i]) for i in range(len(entries))]
             ctx.emit(
@@ -204,9 +216,11 @@ class PartitionSafetyPass(AnalysisPass):
                 hint="reorder the pack inputs by partition position",
             )
             entries = [entries[i] for i in order]
+            scaled = [scaled[i] for i in order]
         previous_hi: Fraction | None = None
-        for lo, hi in entries:
-            if previous_hi is not None and lo < previous_hi:
+        previous_end = 0
+        for (lo, hi), (start, end) in zip(entries, scaled):
+            if previous_hi is not None and start < previous_end:
                 ctx.emit(
                     "partition.overlap",
                     "error",
@@ -217,7 +231,7 @@ class PartitionSafetyPass(AnalysisPass):
                     pack,
                 )
                 break
-            if previous_hi is not None and lo > previous_hi:
+            if previous_hi is not None and start > previous_end:
                 ctx.emit(
                     "partition.gap",
                     "error",
@@ -227,7 +241,7 @@ class PartitionSafetyPass(AnalysisPass):
                     pack,
                 )
                 break
-            previous_hi = hi
+            previous_hi, previous_end = hi, end
 
     def _check_output_coverage(self, ctx: AnalysisContext) -> None:
         """Partitioned lineage must be fully re-assembled by the outputs.
@@ -323,6 +337,22 @@ class PartitionSafetyPass(AnalysisPass):
         if isinstance(base, tuple) and base and base[0] == "column":
             return "base column"
         return str(base)
+
+
+def _scaled(entries: list[tuple[Fraction, Fraction]]) -> list[tuple[int, int]]:
+    """``entries`` as integer pairs over their least common denominator.
+
+    Scaling by one positive factor keeps every comparison between the
+    endpoints exact, and integers compare far faster than ``Fraction``.
+    """
+    scale = lcm(*(value.denominator for entry in entries for value in entry))
+    return [
+        (
+            lo.numerator * (scale // lo.denominator),
+            hi.numerator * (scale // hi.denominator),
+        )
+        for lo, hi in entries
+    ]
 
 
 def _fmt_frac(value: Fraction) -> str:

@@ -23,43 +23,92 @@ _node_counter = itertools.count(1)
 _FINGERPRINT_BYTES = 16
 
 
-def _fingerprint_into(roots: Sequence["PlanNode"], memo: dict[int, bytes]) -> None:
-    """Fill ``memo`` (nid -> digest) for every node reachable from ``roots``.
+#: What :func:`_fingerprint_into` remembers per node id for reuse: (op
+#: uid, order key, operator header bytes, concatenated input digests,
+#: digest).
+_DigestEntry = tuple[int, int | None, bytes, bytes, bytes]
 
-    Iterative post-order: children are digested before their consumers,
-    so arbitrarily deep partitioned plans do not hit the recursion limit.
+
+def _fingerprint_into(
+    roots: Sequence["PlanNode"],
+    memo: dict[int, bytes],
+    reuse: dict[int, _DigestEntry] | None = None,
+    order: Sequence["PlanNode"] | None = None,
+) -> dict[int, _DigestEntry]:
+    """Fill the empty ``memo`` (nid -> digest) for every node reachable
+    from ``roots``.
+
+    Nodes are digested in topological order (``order``, when the caller
+    already walked it), children before their consumers, so every node
+    is hashed once however the DAG shares it.
+
+    Returns the reuse table of the nodes digested here.  Passed back as
+    ``reuse``, it lets a node whose op uid, order key and input digests
+    are all unchanged keep its digest without re-hashing, so only the
+    cone above a plan edit is hashed again (and there, a node whose op
+    and order key are unchanged skips re-encoding its cache key).
+    Operators are immutable once in a plan (``placement`` aside, which
+    digests exclude), so the op uid stands for its cache key.
     """
-    _VISITING, _DONE = 0, 1
-    state: dict[int, int] = {nid: _DONE for nid in memo}
-    stack: list[PlanNode] = list(roots)
-    while stack:
-        node = stack[-1]
-        mark = state.get(node.nid)
-        if mark == _DONE:
-            stack.pop()
+    table: dict[int, _DigestEntry] = {}
+    previous = reuse or {}
+    for node in _topological(roots) if order is None else order:
+        nid = node.nid
+        # The digest mixes the operator's cache key, the order key, and
+        # the input digests in input order; fixed-width child digests
+        # keep the encoding unambiguous.
+        uid = node.op.uid
+        order_key = node.order_key
+        inputs = b"".join([memo[child.nid] for child in node.inputs])
+        entry = previous.get(nid)
+        if entry is None or entry[0] != uid or entry[1] != order_key:
+            header = repr((node.op.cache_key(), order_key)).encode()
+            entry = (uid, order_key, header, inputs, _digest(header, inputs))
+        elif entry[3] != inputs:
+            header = entry[2]
+            entry = (uid, order_key, header, inputs, _digest(header, inputs))
+        memo[nid] = entry[4]
+        table[nid] = entry
+    return table
+
+
+def _digest(header: bytes, inputs: bytes) -> bytes:
+    return blake2b(header + inputs, digest_size=_FINGERPRINT_BYTES).digest()
+
+
+def _topological(roots: Sequence["PlanNode"]) -> list["PlanNode"]:
+    """Every node reachable from ``roots``, inputs before consumers.
+
+    Iterative DFS with the exact visit order of the recursive
+    formulation (children in input order, post-order append), so deep
+    partitioned plans neither recurse to the limit nor pay a Python
+    call per node.
+    """
+    order: list[PlanNode] = []
+    done: set[int] = set()
+    visiting: set[int] = set()
+    for root in roots:
+        if root.nid in done:
             continue
-        if mark is None:
-            state[node.nid] = _VISITING
-            pending = [c for c in node.inputs if state.get(c.nid) != _DONE]
-            if pending:
-                for child in pending:
-                    if state.get(child.nid) == _VISITING:
-                        raise PlanError(
-                            f"plan contains a cycle near: {child.describe()}"
-                        )
-                stack.extend(pending)
-                continue
-        # All inputs digested: hash this node.  The digest mixes the
-        # operator's cache key, the order key, and the input digests in
-        # input order; fixed-width child digests keep the encoding
-        # unambiguous.
-        h = blake2b(digest_size=_FINGERPRINT_BYTES)
-        h.update(repr((node.op.cache_key(), node.order_key)).encode())
-        for child in node.inputs:
-            h.update(memo[child.nid])
-        memo[node.nid] = h.digest()
-        state[node.nid] = _DONE
-        stack.pop()
+        visiting.add(root.nid)
+        stack = [(root, iter(root.inputs))]
+        while stack:
+            node, pending = stack[-1]
+            for child in pending:
+                nid = child.nid
+                if nid in done:
+                    continue
+                if nid in visiting:
+                    cycle = " -> ".join(n.describe() for n, __ in stack[-4:])
+                    raise PlanError(f"plan contains a cycle near: {cycle}")
+                visiting.add(nid)
+                stack.append((child, iter(child.inputs)))
+                break
+            else:
+                done.add(node.nid)
+                order.append(node)
+                stack.pop()
+    return order
 
 
 class PlanNode:
@@ -120,6 +169,8 @@ class Plan:
 
     def __init__(self, outputs: Sequence[PlanNode] | None = None) -> None:
         self.outputs: list[PlanNode] = list(outputs) if outputs else []
+        # Digests of the last fingerprints() walk, reused by the next.
+        self._digests: dict[int, _DigestEntry] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -146,36 +197,10 @@ class Plan:
         """All nodes reachable from the outputs, in topological order
         (inputs before consumers).
 
-        Iterative DFS with the exact visit order of the recursive
-        formulation (children in input order, post-order append): this
-        runs on every mutation, analysis, and submission, so deep
-        partitioned plans must neither recurse to the limit nor pay a
-        Python call per node.
+        This runs on every mutation, analysis, and submission; see
+        :func:`_topological` for the walk.
         """
-        order: list[PlanNode] = []
-        state: dict[int, int] = {}  # 0 visiting, 1 done
-        for root in self.outputs:
-            if state.get(root.nid) == 1:
-                continue
-            state[root.nid] = 0
-            stack = [(root, iter(root.inputs))]
-            while stack:
-                node, pending = stack[-1]
-                for child in pending:
-                    mark = state.get(child.nid)
-                    if mark == 1:
-                        continue
-                    if mark == 0:
-                        cycle = " -> ".join(n.describe() for n, __ in stack[-4:])
-                        raise PlanError(f"plan contains a cycle near: {cycle}")
-                    state[child.nid] = 0
-                    stack.append((child, iter(child.inputs)))
-                    break
-                else:
-                    state[node.nid] = 1
-                    order.append(node)
-                    stack.pop()
-        return order
+        return _topological(self.outputs)
 
     def __len__(self) -> int:
         return len(self.nodes())
@@ -183,14 +208,20 @@ class Plan:
     def __iter__(self) -> Iterator[PlanNode]:
         return iter(self.nodes())
 
-    def fingerprints(self) -> dict[int, bytes]:
+    def fingerprints(self, nodes: Sequence[PlanNode] | None = None) -> dict[int, bytes]:
         """Fingerprint of every reachable node, keyed by ``nid``.
 
         One shared post-order walk, so the whole plan costs O(nodes)
         regardless of DAG sharing; see :meth:`PlanNode.fingerprint`.
+        Digests of the previous call are reused for nodes whose op,
+        order key and inputs' digests did not change, so between adaptive
+        runs only what a mutation touched is hashed again.  ``nodes``
+        spares the walk when the caller just took :meth:`nodes`.
         """
         memo: dict[int, bytes] = {}
-        _fingerprint_into(self.outputs, memo)
+        # Swapped whole, never edited in place: concurrent callers of a
+        # shared plan template at worst redo each other's hashing.
+        self._digests = _fingerprint_into(self.outputs, memo, self._digests, nodes)
         return memo
 
     def consumers(self, target: PlanNode) -> list[PlanNode]:
@@ -208,8 +239,9 @@ class Plan:
     # ------------------------------------------------------------------
     def replace_node(self, old: PlanNode, new: PlanNode) -> None:
         """Redirect every consumer of ``old`` (and the output list) to
-        ``new``; ``old`` drops out of the plan by unreachability."""
-        for node in self.nodes():
+        ``new``; ``old`` drops out of the plan by unreachability.  Only
+        the nodes that read ``old`` are rewritten."""
+        for node in self.consumers(old):
             node.inputs = [new if child is old else child for child in node.inputs]
         self.outputs = [new if out is old else out for out in self.outputs]
 

@@ -12,6 +12,7 @@ import pytest
 from repro.config import SimulationConfig, laptop_machine
 from repro.core import PlanMutator, intermediates_equal, produces_scalar
 from repro.core.expensive import candidates as expensive_candidates
+from repro.core.mutation import _Readers
 from repro.engine import execute
 from repro.operators import RangePredicate
 from repro.plan import Plan, PlanBuilder, validate_plan
@@ -201,6 +202,34 @@ class TestMutatorBookkeeping:
         assert first is not None
         mutator.blocked.update(n.nid for n in plan.nodes())
         assert mutator.mutate(profile) is None
+
+    @pytest.mark.parametrize("build", [select_sum_plan, groupby_plan, join_plan])
+    def test_consumer_map_tracks_every_edit(self, catalog, config, build):
+        """The per-call consumer map, kept current through clone
+        attachment, always equals one rebuilt from the plan."""
+
+        def reader_sets(readers):
+            return {
+                nid: sorted(node.nid for node in lst)
+                for nid, lst in readers.lists.items()
+            }
+
+        class Checked(PlanMutator):
+            def _attach_clones(self, old, clones, combiner):
+                top = super()._attach_clones(old, clones, combiner)
+                current = reader_sets(self._readers)
+                assert current == reader_sets(_Readers(self.plan))
+                assert all(len(set(v)) == len(v) for v in current.values())
+                return top
+
+        plan = build(catalog)
+        mutator = Checked(plan)
+        profile = execute(plan, config).profile
+        for __ in range(12):
+            if mutator.mutate(profile) is None:
+                break
+            profile = execute(plan, config).profile
+        assert len(plan.nodes()) > 10
 
     def test_produces_scalar_analysis(self, catalog):
         b = PlanBuilder(catalog)

@@ -10,6 +10,7 @@ process-boundary (shared memory, certification, spawn) unit tests.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.core.adaptive import intermediates_equal
 from repro.engine import EvalPool, execute
 from repro.engine.backends import (
     ProcessBackend,
+    ThreadBackend,
     available_backends,
     create_backend,
     resolve_backend_name,
@@ -176,6 +178,175 @@ class TestEvalPoolBackendSelection:
         # ... but new parallel batches refuse instead of respawning.
         with pytest.raises(ReproError, match="closed"):
             pool.run_batch([lambda: 1, lambda: 2])
+
+
+class _StubOp:
+    """Stands in for an operator: the thread backend keys costs on it."""
+
+
+def _job(seconds=0.0, error=None):
+    """A job reporting the thread it ran on, after ``seconds``."""
+
+    def job():
+        if seconds:
+            time.sleep(seconds)
+        if error is not None:
+            raise error
+        return threading.get_ident()
+
+    return job
+
+
+@pytest.fixture()
+def slow(monkeypatch):
+    """A kernel time safely above a raised threshold: host noise cannot
+    push a trivial job over it."""
+    monkeypatch.setattr(backends, "THREAD_MIN_JOB_SECONDS", 0.05)
+    return 0.1
+
+
+class TestThreadBackendCosts:
+    """Where the thread backend runs a batch: the pool, unless every
+    operator in it was timed cheap at its last evaluation."""
+
+    def test_untimed_operators_ship_then_cheap_ones_stay_local(self, slow):
+        backend = ThreadBackend(2)
+        ops = [_StubOp(), _StubOp()]
+        main = threading.get_ident()
+        try:
+            first = backend.run([_job(), _job()], ops)
+            assert main not in first
+            assert backend.shipped_jobs == 2
+            # Both were timed (on the pool) well under the threshold.
+            second = backend.run([_job(), _job()], ops)
+            assert set(second) == {main}
+            assert backend.shipped_jobs == 2
+        finally:
+            backend.close()
+
+    def test_one_heavy_or_new_operator_ships_the_whole_batch(self, slow):
+        backend = ThreadBackend(2)
+        cheap, heavy = _StubOp(), _StubOp()
+        main = threading.get_ident()
+        try:
+            backend.run([_job(), _job(slow)], [cheap, heavy])
+            seen = backend.run([_job(), _job(slow)], [cheap, heavy])
+            assert main not in seen
+            seen = backend.run([_job(), _job()], [cheap, _StubOp()])
+            assert main not in seen
+            assert backend.shipped_jobs == 6
+        finally:
+            backend.close()
+
+    def test_kernel_timed_slow_inline_ships_next_time(self, slow):
+        backend = ThreadBackend(2)
+        ops = [_StubOp(), _StubOp()]
+        main = threading.get_ident()
+        try:
+            backend.run([_job(), _job()], ops)
+            assert set(backend.run([_job(), _job(slow)], ops)) == {main}
+            assert main not in backend.run([_job(), _job()], ops)
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_first_failure_in_batch_order_wins(self, timed, slow):
+        backend = ThreadBackend(2)
+        ops = [_StubOp(), _StubOp(), _StubOp()]
+        try:
+            if timed:  # every op cheap: the batch runs on the caller
+                backend.run([_job(), _job(), _job()], ops)
+            jobs = [_job(), _job(0.01, KeyError("first")), _job(error=ValueError())]
+            with pytest.raises(KeyError, match="first"):
+                backend.run(jobs, ops)
+            # Untimed: the failing batch shipped; timed: it ran inline.
+            assert backend.shipped_jobs == 3
+        finally:
+            backend.close()
+
+
+@pytest.fixture()
+def pool_stats(monkeypatch):
+    """Snapshots of every evaluation pool's counters, taken at close."""
+    seen = []
+    close = EvalPool.close
+
+    def spy(self):
+        if self._backend_impl is not None:
+            seen.append(self.stats())
+        close(self)
+
+    monkeypatch.setattr(EvalPool, "close", spy)
+    return seen
+
+
+def _parallel(small_catalog):
+    from repro.core import HeuristicParallelizer
+
+    return HeuristicParallelizer(4).parallelize(q1_style_plan(small_catalog))
+
+
+class TestThreadPoolReallyUsed:
+    """Runs that check worker invariance on the thread backend --
+    ``verify_dual_run`` and the determinism matrix's thread cells --
+    must actually evaluate on pool threads."""
+
+    def _shipped(self, stats):
+        return sum(s.backend_stats["shipped_jobs"] for s in stats)
+
+    def test_one_shot_execute_ships_every_parallel_job(
+        self, small_catalog, sim_config, pool_stats
+    ):
+        execute(_parallel(small_catalog), sim_config, workers=2, backend="thread")
+        (stats,) = pool_stats
+        assert stats.parallel_batches > 0
+        assert stats.backend_stats["shipped_jobs"] == stats.jobs - stats.inline_jobs
+
+    def test_dual_run_ships_every_parallel_job(
+        self, small_catalog, sim_config, pool_stats, monkeypatch
+    ):
+        from repro.analysis.sanitize import verify_dual_run
+
+        monkeypatch.delenv(backends.BACKEND_ENV, raising=False)
+        verify_dual_run(_parallel(small_catalog), sim_config, workers=2)
+        (stats,) = pool_stats
+        assert stats.parallel_batches > 0
+        assert stats.backend_stats["shipped_jobs"] == stats.jobs - stats.inline_jobs
+
+    def test_adaptive_instance_ships_jobs(self, pool_stats):
+        from repro.core import AdaptiveParallelizer, ConvergenceParams
+        from repro.workloads import JoinMicroWorkload
+
+        workload = JoinMicroWorkload(outer_mb=64, inner_mb=16)
+        parallelizer = AdaptiveParallelizer(
+            workload.sim_config(seed=11),
+            convergence=ConvergenceParams(number_of_cores=8, max_runs=6),
+            workers=2,
+            backend="thread",
+        )
+        try:
+            parallelizer.optimize(workload.plan())
+        finally:
+            parallelizer.close()
+        assert self._shipped(pool_stats) > 0
+
+    def test_serve_and_cluster_runs_ship_jobs(self, pool_stats):
+        from repro.cluster import ScaleoutWorkload, cluster_execute
+        from repro.serve import preset, run_loadgen
+
+        run_loadgen(preset("tiny"), workers=2, backend="thread")
+        assert self._shipped(pool_stats) > 0
+        pool_stats.clear()
+        workload = ScaleoutWorkload(tuples_m=10)
+        cluster = workload.cluster(3, threads=4)
+        cluster_execute(
+            workload.plan(workload.sharded(3)),
+            cluster,
+            workload.sim_config(cluster),
+            workers=2,
+            backend="thread",
+        )
+        assert self._shipped(pool_stats) > 0
 
 
 @needs_shm

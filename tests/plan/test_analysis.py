@@ -10,15 +10,19 @@ from repro.core import MutationRejection, PlanMutator
 from repro.engine import execute
 from repro.errors import PlanError
 from repro.operators import RangePredicate
+from repro.operators.aggregate import Aggregate
+from repro.operators.calc import Calc
 from repro.operators.exchange import Pack
 from repro.operators.groupby import AggrMerge
+from repro.operators.literal import Literal
+from repro.operators.netexchange import Exchange
 from repro.operators.project import Fetch
 from repro.operators.scan import Scan
 from repro.operators.select import Select
-from repro.operators.slice import FRACTION_UNITS, PartitionSlice
+from repro.operators.slice import FRACTION_UNITS, PartitionSlice, ValuePartition
 from repro.operators.sort import Sort, TopN
 from repro.plan import PlanBuilder, analyze_plan, to_json, validate_plan
-from repro.plan.analysis import AnalysisReport, Diagnostic
+from repro.plan.analysis import AnalysisReport, Diagnostic, PlanAnalysis
 from repro.plan.graph import Plan, PlanNode
 from repro.plan.validate import arity_of, unknown_operators
 
@@ -213,6 +217,42 @@ class TestPartitionPass:
         report = analyze_plan(plan)
         assert not report.has_errors, report.format()
 
+    def test_swapped_branches_are_out_of_order_but_cover_the_base(
+        self, small_catalog
+    ):
+        pack = PlanNode(Pack(), fetch_branches(small_catalog)[::-1])
+        plan = Plan()
+        plan.set_outputs([pack])
+        rules = analyze_plan(plan).rules
+        assert "partition.order" in rules
+        # The union still spans the whole base: no coverage error, and
+        # in slice order the halves tile it.
+        assert not rules & {"partition.coverage", "partition.gap", "partition.overlap"}
+
+    @pytest.mark.parametrize(
+        "bounds,expected",
+        [
+            (((0, 700), (700, 2_000)), set()),
+            (((0, 700), (701, 2_000)), {"partition.gap"}),
+            (((0, 700), (699, 2_000)), {"partition.overlap"}),
+            # Same start, different ends: not a shared operand.
+            (((0, 700), (0, 1_999)), {"partition.overlap", "partition.coverage"}),
+            # 1/16 against 7/125: neither denominator divides the other.
+            (((0, 125), (112, 2_000)), {"partition.overlap"}),
+        ],
+    )
+    def test_partial_scans_tile_by_row_fractions(
+        self, small_catalog, bounds, expected
+    ):
+        # Row fractions of a 2,000-row column: denominators that are not
+        # powers of two, unlike slice fractions.
+        val = small_catalog.column("facts", "val")
+        scans = [PlanNode(Scan(val, lo, hi)) for lo, hi in bounds]
+        plan = Plan()
+        plan.set_outputs([PlanNode(Pack(), scans)])
+        errors = {"partition.gap", "partition.overlap", "partition.coverage"}
+        assert analyze_plan(plan).rules & errors == expected
+
 
 class TestDeterminismPass:
     def test_unordered_pack_feeding_topn_is_race(self, small_catalog):
@@ -224,6 +264,33 @@ class TestDeterminismPass:
         plan.set_outputs([PlanNode(TopN(5), [pack])])
         report = analyze_plan(plan)
         assert "determinism.race" in report.rules
+
+    @pytest.mark.parametrize(
+        "sink,rule",
+        [
+            (None, "determinism.unordered-output"),
+            (TopN(5), "determinism.race"),
+            (Aggregate("sum"), "determinism.unordered-pack"),
+        ],
+    )
+    def test_packs_sharing_a_consumer_each_find_its_sink(
+        self, small_catalog, sink, rule
+    ):
+        # The second pack's sink search walks what the first one walked;
+        # only a search that found nothing may let later ones skip it.
+        packs = []
+        for __ in range(2):
+            branches = fetch_branches(small_catalog)
+            for branch in branches:
+                branch.order_key = None
+            packs.append(PlanNode(Pack(), branches))
+        top = PlanNode(Calc("+"), packs)
+        if sink is not None:
+            top = PlanNode(sink, [top])
+        plan = Plan()
+        plan.set_outputs([top])
+        rules = [d.rule for d in analyze_plan(plan).diagnostics]
+        assert rules.count(rule) == 2, rules
 
     def test_ordered_pack_feeding_topn_is_clean(self, small_catalog):
         pack = PlanNode(Pack(), fetch_branches(small_catalog))
@@ -370,3 +437,180 @@ class TestBuilderValidates:
         sel.inputs.append(b.scan("facts", "fk"))
         with pytest.raises(PlanError, match="inputs"):
             b.build(sel)
+
+
+def assert_reuse_matches(plan, analysis):
+    """A reusing run agrees with a from-scratch run on every diagnostic
+    (in order) and on every published fact; returns its report."""
+    report = analyze_plan(plan, reuse=analysis)
+    fresh = PlanAnalysis()
+    expected = analyze_plan(plan, reuse=fresh)
+    assert report.diagnostics == expected.diagnostics
+    assert analysis._facts == fresh._facts
+    return report
+
+
+def calc_chain(node, length):
+    """``length`` Calc(+1) nodes stacked on ``node`` (intervals, shapes and
+    value-partition walks all pass through them)."""
+    for __ in range(length):
+        node = PlanNode(Calc("+"), [node, PlanNode(Literal(1))], order_key=node.order_key)
+    return node
+
+
+class TestIncrementalReuse:
+    """Each reuse path of ``analyze_plan(reuse=...)`` on a hand-made edit
+    that only that path notices."""
+
+    def test_unchanged_plan_revisits_nothing(self, small_catalog, sim_config):
+        plan = build_group_plan(small_catalog)
+        analysis = mutate(plan, sim_config, 6)._analysis
+        assert_reuse_matches(plan, analysis)
+        assert analysis.changed == 0 and analysis.visits == 0
+
+    def test_sink_search_reruns_after_edits_above_the_pack(self, small_catalog):
+        branches = fetch_branches(small_catalog)
+        for branch in branches:
+            branch.order_key = None
+        pack = PlanNode(Pack(), branches)
+        plan = Plan()
+        plan.set_outputs([pack])
+        analysis = PlanAnalysis()
+        assert "determinism.unordered-output" in assert_reuse_matches(plan, analysis).rules
+        # A sort above absorbs the pack's order; nothing at or below the
+        # pack changed, so only the volatile sink search can notice.
+        plan.set_outputs([PlanNode(Sort(), [pack])])
+        report = assert_reuse_matches(plan, analysis)
+        assert "determinism.unordered-pack" in report.rules
+        assert "determinism.unordered-output" not in report.rules
+
+    def test_sink_search_follows_outputs_and_lost_consumers(self, small_catalog):
+        branches = fetch_branches(small_catalog)
+        for branch in branches:
+            branch.order_key = None
+        pack = PlanNode(Pack(), branches)
+        above = calc_chain(pack, 2)
+        total = PlanNode(Aggregate("sum"), [above])
+        plan = Plan()
+        plan.set_outputs([total])
+        analysis = PlanAnalysis()
+        assert "determinism.unordered-pack" in assert_reuse_matches(plan, analysis).rules
+        # No node changes: the calc chain just becomes an output too.
+        plan.set_outputs([total, above])
+        assert "determinism.unordered-output" in assert_reuse_matches(plan, analysis).rules
+        # A first-k reader makes it a race; dropping that reader again
+        # (a lost consumer, seen only from below) absorbs the order.
+        plan.set_outputs([total])
+        topn = PlanNode(TopN(5), [above])
+        plan.set_outputs([total, topn])
+        assert "determinism.race" in assert_reuse_matches(plan, analysis).rules
+        topn.inputs = [PlanNode(Scan(small_catalog.column("facts", "qty")))]
+        report = assert_reuse_matches(plan, analysis)
+        assert "determinism.unordered-pack" in report.rules
+        assert "determinism.race" not in report.rules
+        # The same through a reader that leaves the plan altogether.
+        topn.inputs = [above]
+        assert "determinism.race" in assert_reuse_matches(plan, analysis).rules
+        plan.set_outputs([total])
+        assert "determinism.unordered-pack" in assert_reuse_matches(plan, analysis).rules
+
+    def test_relabelled_base_refreshes_deep_pack_findings(self, small_catalog):
+        val = small_catalog.column("facts", "val")
+        qty = small_catalog.column("facts", "qty")
+        cands = PlanNode(Select(RangePredicate(hi=500)), [PlanNode(Scan(val))])
+        base = PlanNode(Fetch(), [cands, PlanNode(Scan(qty))], label="before")
+        mid = FRACTION_UNITS // 2
+        branches = []
+        for lo, hi in ((0, mid - 1), (mid, FRACTION_UNITS)):  # a gap
+            part = PlanNode(PartitionSlice(lo, hi), [base], order_key=lo)
+            branches.append(calc_chain(part, 6))
+        plan = Plan()
+        plan.set_outputs([PlanNode(Pack(), branches)])
+        analysis = PlanAnalysis()
+        before = assert_reuse_matches(plan, analysis)
+        assert "partition.gap" in before.rules
+        # The gap message quotes the base, seven levels below the pack.
+        base.label = "after"
+        after = assert_reuse_matches(plan, analysis)
+        assert before.diagnostics != after.diagnostics
+
+    def test_fact_changes_reach_every_reader(self, small_catalog):
+        branches = fetch_branches(small_catalog)
+        pack = PlanNode(Pack(), [calc_chain(b, 3) for b in branches])
+        plan = Plan()
+        plan.set_outputs([PlanNode(Aggregate("sum"), [pack])])
+        analysis = PlanAnalysis()
+        assert_reuse_matches(plan, analysis)
+        # Rewire one select onto a narrower slice: its row bounds change,
+        # and so do the shapes of everything above it.
+        select = branches[1].inputs[0]
+        old = select.inputs[0]
+        hi = old.op.lo + (old.op.hi - old.op.lo) // 2
+        select.inputs = [
+            PlanNode(PartitionSlice(old.op.lo, hi), old.inputs, order_key=old.order_key)
+        ]
+        assert_reuse_matches(plan, analysis)
+        assert analysis.visits > 2 * analysis.changed
+
+    def test_placement_edit_counts_as_a_rename(self, small_catalog):
+        val = small_catalog.column("facts", "val")
+        qty = small_catalog.column("facts", "qty")
+        cands = PlanNode(Select(RangePredicate(hi=500)), [PlanNode(Scan(val))])
+        fetched = PlanNode(Fetch(), [cands, PlanNode(Scan(qty))])
+        base = PlanNode(Exchange(1), [fetched])
+        mid = FRACTION_UNITS // 2
+        branches = [
+            PlanNode(PartitionSlice(lo, hi), [base], order_key=lo)
+            for lo, hi in ((0, mid - 1), (mid, FRACTION_UNITS))  # a gap
+        ]
+        plan = Plan()
+        plan.set_outputs([PlanNode(Pack(), branches)])
+        analysis = PlanAnalysis()
+        before = assert_reuse_matches(plan, analysis)
+        # Moved in place, as cluster placement mutations do: the gap
+        # message quotes the exchange's new destination.
+        base.op.placement = 2
+        after = assert_reuse_matches(plan, analysis)
+        gap = [d.message for d in after.diagnostics if d.rule == "partition.gap"]
+        assert gap and "n2" in gap[0]
+        assert before.diagnostics != after.diagnostics
+
+    def test_combiner_rechecked_two_levels_above_a_rewired_partial(
+        self, small_catalog
+    ):
+        val = small_catalog.column("facts", "val")
+        source = PlanNode(Scan(val))
+        count = PlanNode(Aggregate("count"), [source], order_key=0)
+        total = PlanNode(Aggregate("sum"), [source], order_key=1)
+        plan = Plan()
+        plan.set_outputs([PlanNode(Aggregate("sum"), [PlanNode(Pack(), [count, total])])])
+        analysis = PlanAnalysis()
+        assert "determinism.mixed-partials" in assert_reuse_matches(plan, analysis).rules
+        # The sum partial loses its input: no longer a scalar partial, while
+        # the pack's own facts stay the same.
+        total.inputs = []
+        report = assert_reuse_matches(plan, analysis)
+        assert "determinism.mixed-partials" not in report.rules
+
+    def test_value_partition_chain_rechecked_five_levels_down(self, small_catalog):
+        val = small_catalog.column("facts", "val")
+        source = PlanNode(Scan(val))
+        low = PlanNode(ValuePartition(None, 10), [source], order_key=0)
+        high = PlanNode(ValuePartition(20, None), [source], order_key=1)  # a gap
+        plan = Plan()
+        plan.set_outputs([PlanNode(Pack(), [calc_chain(low, 4), calc_chain(high, 4)])])
+        analysis = PlanAnalysis()
+        assert "partition.value-coverage" in assert_reuse_matches(plan, analysis).rules
+        # Reading a twin of the source (same shape, same facts) makes the
+        # two partitions unrelated: the chain check no longer applies.
+        high.inputs = [PlanNode(Scan(val))]
+        report = assert_reuse_matches(plan, analysis)
+        assert "partition.value-coverage" not in report.rules
+
+    def test_other_passes_or_limits_start_afresh(self, small_catalog, sim_config):
+        plan = build_group_plan(small_catalog)
+        analysis = mutate(plan, sim_config, 4)._analysis
+        nodes = len(plan.nodes())
+        analyze_plan(plan, pack_fanin_limit=2, reuse=analysis)
+        assert analysis.changed == nodes
+        assert_reuse_matches(plan, analysis)
