@@ -234,3 +234,34 @@ def ensure_scalar(value: Intermediate, *, what: str = "input") -> Scalar:
 
 def dense_head(count: int, start: int = 0) -> np.ndarray:
     return np.arange(start, start + count, dtype=OID_DTYPE)
+
+
+#: How far the dense-key rule lets a key span exceed the row count, so
+#: small inputs over a handful of groups (nine keys, five rows) qualify.
+DENSE_KEY_SLACK = 64
+
+
+def is_int64_exact(dtype: np.dtype) -> bool:
+    """Whether every value of ``dtype`` is exactly an int64.
+
+    Signed integers and unsigned ones below 64 bits; ``uint64`` is left
+    out because numpy compares it with int64 through float64.
+    """
+    return dtype.kind == "i" or (dtype.kind == "u" and dtype.itemsize < 8)
+
+
+def dense_key_range(keys: np.ndarray) -> tuple[int, int] | None:
+    """``(lo, hi)`` of keys that qualify for direct addressing, else None.
+
+    The dense-key rule used by the join and group-by kernels: non-empty
+    :func:`is_int64_exact` keys whose span ``hi - lo + 1`` is at most
+    ``len(keys) + DENSE_KEY_SLACK``.  A table indexed by ``key - lo`` is
+    then no larger than the input plus the slack.  Keys outside the rule
+    (float, wide spans, empty) keep the kernels' sort-based paths.
+    """
+    if len(keys) == 0 or not is_int64_exact(keys.dtype):
+        return None
+    lo, hi = int(keys.min()), int(keys.max())
+    if hi - lo + 1 > len(keys) + DENSE_KEY_SLACK:
+        return None
+    return lo, hi

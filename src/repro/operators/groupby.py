@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import OperatorError
 from ..storage.column import BAT, Intermediate
 from ..storage.dtypes import DBL, LNG, DataType
-from .base import Operator, WorkProfile, dtype_of, pairs_of
+from .base import Operator, WorkProfile, dense_key_range, dtype_of, pairs_of
 
 #: Aggregate function name -> (grouped reducer, merge function name).
 AGG_FUNCS = {
@@ -43,18 +43,41 @@ def merge_func_for(func: str) -> str:
         ) from None
 
 
+def _group_index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique keys (int64) and each row's group number.
+
+    What ``np.unique(keys, return_inverse=True)`` returns.  Keys under
+    the dense-key rule (:func:`~repro.operators.base.dense_key_range`)
+    take one ``np.bincount`` over ``key - lo`` instead of a sort: the
+    occupied offsets are the unique keys, and their ranks the groups.
+    """
+    key_range = dense_key_range(keys)
+    if key_range is None:
+        unique_keys, inverse = np.unique(keys, return_inverse=True)
+        return unique_keys.astype(np.int64), inverse
+    lo = key_range[0]
+    offsets = keys.astype(np.intp, copy=False) - lo
+    occupied = np.bincount(offsets) > 0
+    unique_offsets = np.flatnonzero(occupied)
+    if len(unique_offsets) < len(occupied):  # holes: offsets -> ranks
+        offsets = (np.cumsum(occupied) - 1)[offsets]
+    return unique_offsets + lo, offsets
+
+
 def _reduce_by_group(
     keys: np.ndarray, values: np.ndarray | None, func: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-group reduction; returns (sorted unique keys, aggregates)."""
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    unique_keys, inverse = _group_index(keys)
     n_groups = len(unique_keys)
     if func == "count":
         agg = np.bincount(inverse, minlength=n_groups).astype(np.int64)
+    elif func == "sum" and values is not None and np.issubdtype(values.dtype, np.integer):
+        # Exact: float64 weights would round sums past 2**53.
+        agg = np.zeros(n_groups, dtype=np.int64)
+        np.add.at(agg, inverse, values.astype(np.int64, copy=False))
     elif func == "sum":
         agg = np.bincount(inverse, weights=values, minlength=n_groups)
-        if values is not None and np.issubdtype(values.dtype, np.integer):
-            agg = np.rint(agg).astype(np.int64)
     elif func in ("min", "max"):
         order = np.argsort(inverse, kind="stable")
         sorted_vals = values[order]
@@ -63,7 +86,7 @@ def _reduce_by_group(
         agg = reducer.reduceat(sorted_vals, boundaries)
     else:
         raise OperatorError(f"unknown aggregate {func!r}")
-    return unique_keys.astype(np.int64), agg
+    return unique_keys, agg
 
 
 def _agg_dtype(func: str, value_dtype: DataType | None) -> DataType:
@@ -107,7 +130,9 @@ class GroupAggregate(Operator):
                     f"groupby keys ({len(key_heads)}) and values "
                     f"({len(value_heads)}) are not aligned"
                 )
-        keys, agg = _reduce_by_group(key_values.astype(np.int64), value_values, self.func)
+        keys, agg = _reduce_by_group(
+            key_values.astype(np.int64, copy=False), value_values, self.func
+        )
         value_dtype = None
         if self.func != "count":
             value_dtype = dtype_of(inputs[1])

@@ -7,11 +7,16 @@ takes ``[outer, inner]`` and reports the inner build size in its work
 profile, so the cost model can apply the L3-cache-fit probe discount the
 paper measures in Figure 15 / Table 3.
 
-The implementation is equivalence-preserving rather than literally a hash
-table: matches are found with a sort + binary search on the build side,
-which yields the same multiset of (outer oid, inner oid) pairs in outer
-order.  Simulated *time* comes from hash-join cost formulas, not from the
-numpy runtime.
+The numpy implementation picks one of two equivalent paths from the
+inputs alone.  Unique integer build keys that pass the dense-key rule
+(:func:`~repro.operators.base.dense_key_range`: a span of at most the
+build row count plus a small slack) are written into a slot table
+indexed by ``key - lo`` and probed with one gather -- a direct-address
+hash table.  Anything else (float keys, wide spans, duplicate build
+keys) is matched with a sort + binary search on the build side.  Both
+yield the same (outer oid, inner oid) pairs in outer order, bit for bit.
+Simulated *time* comes from hash-join cost formulas, not from the numpy
+runtime.
 """
 
 from __future__ import annotations
@@ -23,7 +28,20 @@ import numpy as np
 from ..errors import OperatorError
 from ..storage.column import BAT, Intermediate
 from ..storage.dtypes import OID
-from .base import Operator, WorkProfile, dictionary_of, dtype_of, pairs_of
+from .base import (
+    Operator,
+    WorkProfile,
+    dense_key_range,
+    dictionary_of,
+    dtype_of,
+    is_int64_exact,
+    pairs_of,
+)
+
+
+def _no_pairs() -> tuple[np.ndarray, np.ndarray]:
+    empty = np.empty(0, dtype=np.int64)
+    return empty, empty
 
 
 def hash_join_pairs(
@@ -35,11 +53,53 @@ def hash_join_pairs(
     """All (outer head, inner head) pairs with equal values.
 
     Pairs are emitted in outer order; ties on the inner side follow the
-    inner side's sorted order (deterministic).
+    inner side's sorted order (deterministic).  Unique integer build
+    keys under the dense-key rule are probed through a slot table; other
+    inputs take the sort + binary search of :func:`_sorted_join_pairs`,
+    which returns the same arrays.
     """
+    key_range = dense_key_range(inner_values)
+    if key_range is not None and is_int64_exact(outer_values.dtype):
+        pairs = _direct_join_pairs(
+            outer_heads, outer_values, inner_heads, inner_values, *key_range
+        )
+        if pairs is not None:
+            return pairs
+    return _sorted_join_pairs(outer_heads, outer_values, inner_heads, inner_values)
+
+
+def _direct_join_pairs(
+    outer_heads: np.ndarray,
+    outer_values: np.ndarray,
+    inner_heads: np.ndarray,
+    inner_values: np.ndarray,
+    lo: int,
+    hi: int,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The direct-address path; None when a build key repeats."""
+    slots = np.full(hi - lo + 1, -1, dtype=np.intp)
+    slots[inner_values.astype(np.intp, copy=False) - lo] = np.arange(len(inner_values))
+    if np.count_nonzero(slots >= 0) < len(inner_values):
+        return None
+    probe = outer_values.astype(np.int64, copy=False)
+    # Range-check before subtracting, so far-off probes cannot wrap around.
+    outer_rows = np.flatnonzero((probe >= lo) & (probe <= hi))
+    inner_rows = slots[probe[outer_rows] - lo]
+    hit = inner_rows >= 0
+    if not hit.any():
+        return _no_pairs()
+    return outer_heads[outer_rows[hit]], inner_heads[inner_rows[hit]]
+
+
+def _sorted_join_pairs(
+    outer_heads: np.ndarray,
+    outer_values: np.ndarray,
+    inner_heads: np.ndarray,
+    inner_values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sort + binary search path of :func:`hash_join_pairs`."""
     if len(outer_values) == 0 or len(inner_values) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+        return _no_pairs()
     order = np.argsort(inner_values, kind="stable")
     sorted_vals = inner_values[order]
     sorted_heads = inner_heads[order]
@@ -48,8 +108,7 @@ def hash_join_pairs(
     counts = stops - starts
     total = int(counts.sum())
     if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+        return _no_pairs()
     out_left = np.repeat(outer_heads, counts)
     # Build flat indices into sorted_heads for every match run.
     offsets = np.repeat(starts, counts)

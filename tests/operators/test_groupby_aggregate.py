@@ -43,6 +43,15 @@ class TestGroupAggregate:
         assert out.dtype is DBL
         np.testing.assert_allclose(out.tail, [11.5, 8.0, 4.5])
 
+    def test_integer_sum_is_exact_past_2_53(self):
+        """Float64 accumulation would round 2**53 + 1 down to 2**53."""
+        keys = Column("k", LNG, np.array([7, 7]))
+        vals = Column("v", LNG, np.array([2**53, 1]))
+        out = GroupAggregate("sum").evaluate([keys.full_slice(), vals.full_slice()])
+        assert out.tail.dtype == np.int64
+        assert out.tail.tolist() == [2**53 + 1]
+        assert out.tail[0] == Aggregate("sum").evaluate([vals.full_slice()]).value
+
     def test_misaligned_inputs_rejected(self, keys):
         vals = Column("v", LNG, np.arange(3))
         with pytest.raises(OperatorError):
@@ -92,6 +101,13 @@ class TestAggrMerge:
     def test_rejects_non_bat(self):
         with pytest.raises(OperatorError):
             AggrMerge("sum").evaluate([Candidates(np.array([1]))])
+
+    def test_int64_partials_sum_exactly(self):
+        partials = BAT(np.array([0, 0, 4]), np.array([2**53, 1, 3]), LNG)
+        out = AggrMerge("sum").evaluate([partials])
+        assert out.head.tolist() == [0, 4]
+        assert out.tail.dtype == np.int64
+        assert out.tail.tolist() == [2**53 + 1, 3]
 
     def test_rejects_count(self):
         with pytest.raises(OperatorError):

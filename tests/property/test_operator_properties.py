@@ -3,9 +3,16 @@
 The central invariant of the whole system: for every operator, running
 it per-partition and packing the partition outputs equals running it
 serially (candidates keep their order; aggregates merge exactly).
+
+The dense-key kernels get their own identities: the direct-address
+group index equals ``np.unique(keys, return_inverse=True)`` and the
+direct-address join equals the sort + binary search path (values and
+dtypes), and both equal a plain-Python dict reference.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,6 +30,9 @@ from repro.operators import (
     SemiJoin,
     merge_func_for,
 )
+from repro.operators.base import DENSE_KEY_SLACK, dense_key_range
+from repro.operators.groupby import _group_index, _reduce_by_group
+from repro.operators.join import _sorted_join_pairs, hash_join_pairs
 from repro.storage import Candidates, Column, LNG
 
 small_ints = st.integers(min_value=-1000, max_value=1000)
@@ -168,3 +178,182 @@ class TestAggregationIdentities:
         merged = AggrMerge("sum").evaluate([Pack().evaluate(parts)])
         np.testing.assert_array_equal(merged.head, serial.head)
         np.testing.assert_array_equal(merged.tail, serial.tail)
+
+
+# ---------------------------------------------------------------------------
+# Dense-key kernels
+# ---------------------------------------------------------------------------
+INT64 = np.iinfo(np.int64)
+INT32 = np.iinfo(np.int32)
+
+
+def _span_near_bound(draw, low: int, rows: int) -> int:
+    """A key span from ``low`` up: often right at the dense-key bound."""
+    bound = rows + DENSE_KEY_SLACK
+    return draw(
+        st.sampled_from([low, bound - 1, bound, bound + 1])
+        | st.integers(low, 3 * bound)
+    )
+
+
+@st.composite
+def group_keys(draw):
+    """Integer keys with negative values, one repeated key (span 1),
+    spans just under and just over the dense-key bound, and holes: either
+    random ones or a span covered but for up to three holes."""
+    dtype = draw(st.sampled_from([np.int64, np.int32]))
+    n = draw(st.integers(1, 150))
+    if draw(st.booleans()):
+        span = draw(st.integers(1, n))
+        holes = draw(st.sets(st.integers(1, span - 2), max_size=3)) if span > 2 else set()
+        present = [o for o in range(span) if o not in holes]
+        offsets = present + draw(st.lists(
+            st.sampled_from(present), min_size=n - len(present), max_size=n - len(present)
+        ))
+    else:
+        span = 1 if n == 1 else _span_near_bound(draw, 1, n)
+        offsets = draw(st.lists(st.integers(0, span - 1), min_size=n, max_size=n))
+        offsets[0], offsets[-1] = 0, span - 1  # pin min and max: n >= 2 here
+    limit = 2**40 if dtype is np.int64 else 2**20
+    lo = draw(st.integers(-limit, limit))
+    offsets = draw(st.permutations(offsets))
+    return (lo + np.asarray(offsets, dtype=np.int64)).astype(dtype)
+
+
+@st.composite
+def join_case(draw):
+    """Build keys (unique, or with one duplicated key) over a span near
+    the dense bound, probed by matches, holes, near misses and far-off
+    values -- int32 probes included, against int64 keys that straddle
+    or leave the int32 range."""
+    inner_dtype, outer_dtype = draw(st.sampled_from(
+        [(np.int64, np.int64), (np.int64, np.int32),
+         (np.int32, np.int64), (np.int32, np.int32)]
+    ))
+    n = draw(st.integers(1, 60))
+    span = 1 if n == 1 else _span_near_bound(draw, n, n)
+    if inner_dtype is np.int64:
+        lo = draw(st.integers(-(2**40), 2**40) | st.just(2**31 - span // 2))
+    else:
+        lo = draw(st.integers(-(2**20), 2**20))
+    middle = draw(st.permutations(range(1, span - 1)))[: max(n - 2, 0)]
+    offsets = [0, *middle, span - 1][:n]
+    offsets = draw(st.permutations(offsets))
+    if n >= 2 and draw(st.booleans()):
+        offsets[-1] = offsets[0]  # one duplicate build key
+    inner = lo + np.asarray(offsets, dtype=np.int64)
+    hi = lo + span - 1
+    limits = INT64 if outer_dtype is np.int64 else INT32
+    probes = draw(st.lists(
+        st.sampled_from(inner.tolist())
+        | st.integers(lo - 3, hi + 3)
+        | st.sampled_from([int(limits.min), int(limits.max)]),
+        min_size=1,
+        max_size=80,
+    ))
+    outer = np.asarray(
+        [v for v in probes if limits.min <= v <= limits.max], dtype=outer_dtype
+    )
+    outer_heads = np.arange(len(outer), dtype=np.int64) * 3 + 7
+    inner_heads = np.arange(n, dtype=np.int64)[::-1] * 5 + 11
+    return outer_heads, outer, inner_heads, inner.astype(inner_dtype)
+
+
+def _dict_join(outer_heads, outer, inner_heads, inner):
+    """Pairs from a dict of build key -> heads, in outer order."""
+    table = defaultdict(list)
+    for head, key in zip(inner_heads.tolist(), inner.tolist()):
+        table[key].append(head)
+    return [(o, i) for o, key in zip(outer_heads.tolist(), outer.tolist())
+            for i in table.get(key, [])]
+
+
+def _assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype
+
+
+class TestDenseKeyRule:
+    @settings(max_examples=150)
+    @given(group_keys())
+    def test_rule_is_span_within_rows_plus_slack(self, keys):
+        span = int(keys.max()) - int(keys.min()) + 1
+        expected = (
+            (int(keys.min()), int(keys.max()))
+            if span <= len(keys) + DENSE_KEY_SLACK else None
+        )
+        assert dense_key_range(keys) == expected
+
+    def test_inputs_outside_the_rule(self):
+        assert dense_key_range(np.empty(0, dtype=np.int64)) is None
+        assert dense_key_range(np.array([1.0, 2.0])) is None
+        assert dense_key_range(np.array([1, 2], dtype=np.uint64)) is None
+        assert dense_key_range(np.array([5, -3], dtype=np.int32)) == (-3, 5)
+        assert dense_key_range(np.array([3, 2], dtype=np.uint8)) == (2, 3)
+
+
+class TestDenseGroupIndex:
+    @settings(max_examples=150)
+    @given(group_keys())
+    def test_matches_np_unique_and_dict(self, keys):
+        unique, inverse = _group_index(keys)
+        ref_unique, ref_inverse = np.unique(keys, return_inverse=True)
+        _assert_same_arrays(
+            (unique, inverse), (ref_unique.astype(np.int64), ref_inverse)
+        )
+        ranks = {k: r for r, k in enumerate(sorted(set(keys.tolist())))}
+        assert unique.tolist() == list(ranks)
+        assert inverse.tolist() == [ranks[k] for k in keys.tolist()]
+
+    def test_empty_keys(self):
+        unique, inverse = _group_index(np.empty(0, dtype=np.int64))
+        assert unique.dtype == np.int64 and len(unique) == len(inverse) == 0
+
+    @settings(max_examples=100)
+    @given(group_keys(), st.sampled_from(["sum", "count", "min", "max"]), st.data())
+    def test_reduction_matches_dict(self, keys, func, data):
+        # Values past 2**53 (sums stay inside int64): integer sums are exact.
+        values = np.asarray(data.draw(st.lists(
+            st.integers(-(2**55), 2**55), min_size=len(keys), max_size=len(keys)
+        )), dtype=np.int64)
+        groups = defaultdict(list)
+        for key, value in zip(keys.tolist(), values.tolist()):
+            groups[key].append(value)
+        reduce = {"sum": sum, "count": len, "min": min, "max": max}[func]
+        unique, agg = _reduce_by_group(
+            keys, None if func == "count" else values, func
+        )
+        assert unique.tolist() == sorted(groups)
+        assert agg.dtype == np.int64
+        assert agg.tolist() == [reduce(groups[k]) for k in sorted(groups)]
+
+
+class TestDenseJoin:
+    @settings(max_examples=200)
+    @given(join_case())
+    def test_matches_sort_path_and_dict(self, case):
+        got = hash_join_pairs(*case)
+        _assert_same_arrays(got, _sorted_join_pairs(*case))
+        assert list(zip(*(a.tolist() for a in got))) == _dict_join(*case)
+
+    def test_empty_inputs_and_no_matches(self):
+        heads = np.arange(3, dtype=np.int64)
+        keys = np.array([4, 5, 6], dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        for case in (
+            (empty, empty, heads, keys),
+            (heads, keys, empty, empty),
+            (heads, keys + 10, heads, keys),
+            (heads.astype(np.int32), keys.astype(np.int32) - 10, heads, keys),
+        ):
+            for left, right in (hash_join_pairs(*case), _sorted_join_pairs(*case)):
+                assert left.dtype == right.dtype == np.int64
+                assert len(left) == len(right) == 0
+
+    def test_float_probes_take_the_sort_path(self):
+        outer = np.array([1.0, 1.5, 2.0])
+        inner = np.array([2, 1], dtype=np.int64)
+        left, right = hash_join_pairs(np.arange(3), outer, np.arange(2), inner)
+        assert left.tolist() == [0, 2] and right.tolist() == [1, 0]
