@@ -7,15 +7,9 @@ A certificate is the machine-readable verdict of the static analyzer
   ``mask``) have no effects visible outside the call: no in-place write
   to shared input buffers, no instance or module state.  Pure kernels
   are safe to dispatch on evaluation-pool worker threads.
-* ``picklable_params`` -- the class is importable at module level (not
-  defined inside a function), so instances can cross a process boundary
-  for the planned process/shared-memory backend (ROADMAP).
-* ``shared_memory_eligible`` -- ``pure and picklable_params``: the
-  kernel could run in another process against shared-memory column
-  buffers.
 * ``view_returning`` -- the kernel can return a numpy **view** aliasing
-  an input buffer (zero-copy fast paths).  Harmless for threads; a
-  process backend must materialize these results before shipping them.
+  an input buffer (zero-copy fast paths).  Harmless for threads, which
+  share the address space.
 
 The :class:`CertificateRegistry` is what the evaluation pool consults,
 **fail-closed**: an operator with no certificate -- or a certificate
@@ -43,8 +37,9 @@ from .purity import (
 )
 from .source import parse_file
 
-#: Bumped when the certificate semantics change.
-CERTIFICATE_VERSION = 1
+#: Bumped when the certificate semantics change (2: the two fields of
+#: the process-backend tier are gone).
+CERTIFICATE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -54,8 +49,6 @@ class OperatorCertificate:
     operator: str
     module: str
     pure: bool
-    picklable_params: bool
-    shared_memory_eligible: bool
     view_returning: bool
     #: Human-readable findings when not pure (empty for pure kernels).
     issues: tuple[str, ...] = ()
@@ -65,8 +58,6 @@ class OperatorCertificate:
             "operator": self.operator,
             "module": self.module,
             "pure": self.pure,
-            "picklable_params": self.picklable_params,
-            "shared_memory_eligible": self.shared_memory_eligible,
             "view_returning": self.view_returning,
             "issues": list(self.issues),
         }
@@ -77,8 +68,6 @@ class OperatorCertificate:
             operator=doc["operator"],
             module=doc["module"],
             pure=bool(doc["pure"]),
-            picklable_params=bool(doc["picklable_params"]),
-            shared_memory_eligible=bool(doc["shared_memory_eligible"]),
             view_returning=bool(doc["view_returning"]),
             issues=tuple(doc.get("issues", ())),
         )
@@ -154,14 +143,10 @@ def certify_type(cls: type) -> OperatorCertificate:
             issues.append(f"{name}: mutates instance state ({desc})")
     if not analyzed_any and not issues:
         issues.append("no analyzable kernel methods found")
-    pure = analyzed_any and not issues
-    picklable = "<locals>" not in cls.__qualname__
     return OperatorCertificate(
         operator=cls.__name__,
         module=cls.__module__,
-        pure=pure,
-        picklable_params=picklable,
-        shared_memory_eligible=pure and picklable,
+        pure=analyzed_any and not issues,
         view_returning=view_returning,
         issues=tuple(issues),
     )
@@ -200,15 +185,8 @@ class CertificateRegistry:
             self._by_name.setdefault(cert.operator, cert)
         return cert
 
-    def check(self, op: Any, boundary: str = "thread") -> OperatorCertificate:
-        """Gate one operator instance; raise fail-closed when unsafe.
-
-        ``boundary`` names what the kernel is about to cross:
-        ``"thread"`` requires purity; ``"process"`` additionally
-        requires picklable parameters (``shared_memory_eligible``) --
-        the instance itself must survive a pipe and evaluate against
-        shared-memory column views in another address space.
-        """
+    def check(self, op: Any) -> OperatorCertificate:
+        """Gate one operator instance; raise fail-closed unless pure."""
         cert = self.get(type(op))
         if not cert.pure:
             detail = "; ".join(cert.issues) or "no certificate"
@@ -216,13 +194,6 @@ class CertificateRegistry:
                 f"refusing to dispatch {type(op).__name__} off the main "
                 f"thread: {detail} (run with workers=1, or fix the kernel "
                 "and re-run `repro analyze`)"
-            )
-        if boundary == "process" and not cert.shared_memory_eligible:
-            raise UncertifiedKernelError(
-                f"refusing to ship {type(op).__name__} across a process "
-                "boundary: its parameters are not picklable (class defined "
-                "inside a function?); use backend='thread' or make the "
-                "class importable at module level"
             )
         return cert
 

@@ -34,11 +34,9 @@ from .source import call_name, walk_with_stack
 HOST_ONLY_PREFIXES = (
     "repro.observe",
     "repro.engine.evalpool",
-    # Host-side evaluation transport: the shared-memory codec keys its
-    # buffer-alias maps on object identity (which physical ndarray is
-    # this a view of?) -- per-process lookup tables, never fingerprints.
+    # The thread backend times each job to decide where its operator's
+    # next batch runs -- where a job runs never changes its result.
     "repro.engine.backends",
-    "repro.engine.shm",
     # The live serving engine stamps host_batch_ms on responses -- a
     # host-side observability field, stripped from every deterministic
     # surface (canonical bytes, ServeReport goldens).

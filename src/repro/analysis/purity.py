@@ -2,10 +2,9 @@
 
 An operator kernel -- the ``evaluate`` / ``work_profile`` / ``mask``
 methods dispatched by the evaluation pool -- must be a pure function of
-its inputs: column buffers are shared across worker threads (and, for
-the planned process backend, mapped into shared memory), so an in-place
-write to anything reachable from the inputs is a data race and silently
-corrupts sibling partitions.
+its inputs: column buffers are shared across worker threads, so an
+in-place write to anything reachable from the inputs is a data race and
+silently corrupts sibling partitions.
 
 The analysis is a forward taint pass over each kernel's AST.  *Tainted*
 names alias caller-owned memory:

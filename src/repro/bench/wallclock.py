@@ -10,9 +10,9 @@ simulation:
   versus warm),
 * the :class:`~repro.engine.evalpool.EvalPool` worker count (a sweep
   over ``--workers``), and
-* the evaluation **backend** (a sweep over ``--backend``: ``thread``
-  threads share the GIL, ``process`` workers evaluate on zero-copy
-  shared-memory column views -- see :mod:`repro.engine.backends`).
+* the evaluation **backend** (a sweep over ``--backend``: ``inline``
+  or ``thread``, whose threads share the GIL -- see
+  :mod:`repro.engine.backends`).
 
 Because none of these layers may change what the simulation observes,
 the benchmark cross-checks that every instance produces identical
@@ -425,7 +425,6 @@ def check_report(
     min_hit_rate: float | None = None,
     min_speedup: float | None = None,
     max_worker_slowdown: float | None = None,
-    min_process_speedup: float | None = None,
 ) -> None:
     """Raise :class:`ReproError` if the report misses its gates.
 
@@ -433,13 +432,6 @@ def check_report(
     regress below the requested floors, and no swept backend x worker
     combination may run more than ``max_worker_slowdown`` times slower
     than workers=1 (parallel evaluation must never cost, only pay).
-
-    ``min_process_speedup`` gates the *process* backend's
-    ``worker_speedup`` -- the one number that proves the GIL ceiling is
-    actually broken.  The gate is skipped (not failed) when the report
-    was produced on a single-CPU host or the process backend was not
-    swept: a 1-CPU runner physically cannot demonstrate parallel
-    speedup, and CI must not punish it for that.
     """
     summary = report["summary"]
     if not summary["all_identical"]:
@@ -466,14 +458,6 @@ def check_report(
             f"a pooled run was x{summary['max_worker_slowdown']:.2f} slower "
             f"than workers=1 (tolerance x{max_worker_slowdown:.2f})"
         )
-    if min_process_speedup is not None:
-        by_backend = summary.get("worker_speedup_by_backend", {})
-        if report.get("host_cpus", 1) > 1 and "process" in by_backend:
-            if by_backend["process"] < min_process_speedup:
-                raise ReproError(
-                    f"process-backend speedup x{by_backend['process']:.2f} is "
-                    f"below the required x{min_process_speedup:.2f}"
-                )
 
 
 def format_report(report: dict) -> str:

@@ -208,7 +208,7 @@ class AdaptiveParallelizer:
         )
         # Host evaluation pool: every run's simultaneously-ready
         # operators are evaluated on ``workers`` host workers of the
-        # selected ``backend`` (thread / process / inline -- see
+        # selected ``backend`` (thread or inline -- see
         # repro.engine.backends), with a dispatch-order commit barrier
         # keeping simulated results bit-identical for any worker count
         # and backend.  With neither argument the instance evaluates

@@ -1,11 +1,6 @@
 """Discrete-event multi-core execution engine."""
 
-from .backends import (
-    EvalBackend,
-    available_backends,
-    register_backend,
-    resolve_backend_name,
-)
+from .backends import BACKENDS, resolve_backend_name
 from .evalpool import EvalFailure, EvalPool, PoolStats, default_workers, settle_job
 from .executor import execute
 from .machine import HardwareThread, MachineState
@@ -15,8 +10,8 @@ from .profiler import OpRecord, QueryProfile
 from .scheduler import ExecutionResult, Simulator
 
 __all__ = [
+    "BACKENDS",
     "CacheStats",
-    "EvalBackend",
     "EvalFailure",
     "EvalPool",
     "ExecutionResult",
@@ -28,10 +23,8 @@ __all__ = [
     "PoolStats",
     "QueryProfile",
     "Simulator",
-    "available_backends",
     "default_workers",
     "execute",
-    "register_backend",
     "resolve_backend_name",
     "settle_job",
 ]

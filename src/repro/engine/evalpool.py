@@ -6,25 +6,23 @@ serially on one host core.  Every dispatch round of
 :class:`~repro.engine.scheduler.Simulator` collects the operators whose
 inputs are all materialized -- by construction they are mutually
 independent, so their host evaluation is embarrassingly parallel.  The
-:class:`EvalPool` runs one such batch on a pluggable **evaluation
-backend** (:mod:`repro.engine.backends`) -- ``inline``, ``thread``, or
-``process`` -- and returns results **in submission order**.
+:class:`EvalPool` runs one such batch inline or on a thread pool
+(:mod:`repro.engine.backends`) and returns results **in submission
+order**.
 
 Determinism contract: the pool only ever computes pure functions of
 already-materialized inputs, and the scheduler consumes the results
 through a dispatch-order commit barrier (see
 ``Simulator._commit_dispatch``).  Simulated times, noise draws, memo
 counters, profiles, and query outputs are therefore bit-identical for
-any worker count *and any backend*, including ``workers=1`` (which
-evaluates inline and never starts a thread or process).
+any worker count *and either backend*, including ``workers=1`` (which
+evaluates inline and never starts a thread).
 
 That contract is *enforced*, not assumed: when the scheduler hands the
-pool the operators behind a batch (``run_batch(jobs, ops=...)``), every
+pool the operators behind a batch (``run_batch(jobs, ops)``), every
 operator class is checked against its parallel-safety certificate
 (:mod:`repro.analysis.certificates`) before any work leaves the main
-thread -- and the check is boundary-aware: crossing a *process*
-boundary additionally requires ``shared_memory_eligible`` (pure and
-picklable).  The gate is **fail-closed** -- an operator with no
+thread.  The gate is **fail-closed** -- an operator with no
 certificate, or whose static analysis found effects, raises
 :class:`~repro.errors.UncertifiedKernelError` instead of being
 dispatched.  Inline evaluation (``workers=1`` or a below-threshold
@@ -40,6 +38,7 @@ from time import perf_counter
 from typing import Any, Callable, Sequence
 
 from ..errors import ReproError
+from .backends import ThreadBackend, resolve_backend_name
 
 #: Batches smaller than this are evaluated inline even when a pool is
 #: available -- submitting one job to a worker costs more than it saves.
@@ -179,8 +178,8 @@ class PoolStats:
     inline_jobs: int = 0
     eval_seconds: float = 0.0
     max_batch: int = 0
-    #: Backend-specific numeric counters (e.g. ``shipped_jobs`` and
-    #: ``published_bytes`` for the process backend); empty otherwise.
+    #: Thread-backend counters (``shipped_jobs``); empty until the
+    #: pool first runs a parallel batch.
     backend_stats: dict[str, float | int] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, float | int]:
@@ -200,16 +199,16 @@ class PoolStats:
 class EvalPool:
     """Evaluates batches of independent jobs, preserving batch order.
 
-    ``workers=1`` is the degenerate inline pool: no threads or processes
-    are created and ``run_batch`` is a plain loop.  ``workers>1`` lazily
-    instantiates the selected backend on first use and keeps it alive
-    across batches (an adaptive instance runs tens of thousands of
-    dispatch rounds; worker startup must not be paid per round).
+    ``workers=1`` is the degenerate inline pool: no threads are created
+    and ``run_batch`` is a plain loop.  ``workers>1`` lazily creates a
+    :class:`~repro.engine.backends.ThreadBackend` on first use and
+    keeps it alive across batches (an adaptive instance runs tens of
+    thousands of dispatch rounds; thread startup must not be paid per
+    round).
 
-    ``backend`` picks where parallel batches run -- ``"inline"``,
-    ``"thread"`` (default), or ``"process"`` (see
-    :mod:`repro.engine.backends`); ``None`` defers to the
-    ``REPRO_EVAL_BACKEND`` environment variable.
+    ``backend`` picks where parallel batches run -- ``"inline"`` or
+    ``"thread"`` (default; see :mod:`repro.engine.backends`); ``None``
+    defers to the ``REPRO_EVAL_BACKEND`` environment variable.
     """
 
     def __init__(
@@ -219,8 +218,6 @@ class EvalPool:
         backend: str | None = None,
         certificates: Any = None,
     ) -> None:
-        from .backends import resolve_backend_name
-
         workers = default_workers() if workers is None else int(workers)
         if workers < 1:
             raise ReproError(f"evaluation pool needs >= 1 worker, got {workers}")
@@ -234,7 +231,7 @@ class EvalPool:
         #: process-wide default registry, resolved lazily on first use
         #: so pools for thunk-only callers never pay for it.
         self._certificates = certificates
-        self._backend_impl: Any = None
+        self._backend_impl: ThreadBackend | None = None
         self._closed = False
         self._batches = 0
         self._parallel_batches = 0
@@ -249,29 +246,26 @@ class EvalPool:
         self.observe = None
 
     # ------------------------------------------------------------------
-    def _gate(self, ops: Sequence[Any], boundary: str) -> None:
+    def _gate(self, ops: Sequence[Any]) -> None:
         """Refuse uncertified kernels before they leave the main thread."""
         if self._certificates is None:
             from ..analysis.certificates import default_registry
 
             self._certificates = default_registry()
         for op in ops:
-            self._certificates.check(op, boundary)
+            self._certificates.check(op)
 
-    def _ensure_backend(self) -> Any:
+    def _ensure_backend(self) -> ThreadBackend:
         if self._backend_impl is None:
             if self._closed:
                 raise ReproError("evaluation pool is closed")
-            from .backends import create_backend
-
-            self._backend_impl = create_backend(self.backend, self.workers)
+            self._backend_impl = ThreadBackend(self.workers)
         return self._backend_impl
 
     def run_batch(
         self,
         jobs: Sequence[Callable[[], Any]],
         ops: Sequence[Any] | None = None,
-        inputs: Sequence[Sequence[Any]] | None = None,
     ) -> list[Any]:
         """Evaluate every job; results come back in ``jobs`` order.
 
@@ -280,14 +274,10 @@ class EvalPool:
         would have raised first), after all submitted jobs have run.
 
         ``ops`` are the operator instances behind the jobs (aligned
-        with ``jobs``); when given, each is certificate-checked against
-        the backend's boundary before the batch goes parallel.
-        ``inputs`` are the per-job input intermediates (aligned too) --
-        the process backend evaluates from ``(op, inputs)`` payloads
-        instead of closures, which cannot cross a process boundary.
-        Thunk-only callers pass neither and are not gated -- they own
-        their thread-safety story (and fall back to the main thread
-        under the process backend).
+        with ``jobs``); when given, each is certificate-checked before
+        the batch goes parallel, and the thread backend times them to
+        decide where their next batch runs.  Thunk-only callers omit
+        them and are not gated -- they own their thread-safety story.
         """
         n = len(jobs)
         self._batches += 1
@@ -312,9 +302,9 @@ class EvalPool:
                 return [job() for job in jobs]
             backend = self._ensure_backend()
             if ops is not None:
-                self._gate(ops, backend.boundary)
+                self._gate(ops)
             self._parallel_batches += 1
-            return backend.run(jobs, ops, inputs)
+            return backend.run(jobs, ops)
         finally:
             self._eval_seconds += perf_counter() - start
 
@@ -323,7 +313,7 @@ class EvalPool:
         """An immutable snapshot of the pool's host-side counters."""
         extra: dict[str, float | int] = {}
         if self._backend_impl is not None:
-            extra = dict(self._backend_impl.extra_stats())
+            extra = self._backend_impl.extra_stats()
         return PoolStats(
             batches=self._batches,
             parallel_batches=self._parallel_batches,
@@ -338,7 +328,7 @@ class EvalPool:
         """Release the backend (idempotent, safe to call from atexit).
 
         After close the pool refuses new parallel batches instead of
-        silently respawning workers; inline evaluation still works, so a
+        silently restarting threads; inline evaluation still works, so a
         close racing a final below-threshold batch cannot crash.
         """
         self._closed = True

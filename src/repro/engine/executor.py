@@ -69,11 +69,11 @@ def execute(
     evaluates simultaneously-ready operators on host workers; passing
     ``workers=N`` (and/or ``backend=...``) instead spins up -- and tears
     down -- a pool for just this call.  ``backend`` selects where the
-    parallel batches run: ``"inline"``, ``"thread"``, or ``"process"``
-    (see :mod:`repro.engine.backends`); when only ``backend`` is given
-    the worker count defaults to
+    parallel batches run: ``"inline"`` or ``"thread"`` (see
+    :mod:`repro.engine.backends`); when only ``backend`` is given the
+    worker count defaults to
     :func:`~repro.engine.evalpool.default_workers`.  Simulated results
-    are bit-identical for any worker count and any backend.
+    are bit-identical for any worker count and either backend.
 
     ``faults`` injects chaos: pass a
     :class:`~repro.chaos.faults.FaultPlan` (an injector is derived from

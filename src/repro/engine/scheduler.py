@@ -624,7 +624,6 @@ class Simulator:
         memo = self.memo
         jobs: list[Callable[[], tuple[Intermediate, WorkProfile]]] = []
         ops: list[Operator] = []
-        job_inputs: list[list[Intermediate]] = []
         job_of_fp: dict[bytes, int] = {}
         for entry in batch:
             sub, node = entry.sub, entry.node
@@ -649,7 +648,6 @@ class Simulator:
             inputs = [sub.values[child.nid] for child in node.inputs]
             jobs.append(settle_job(_make_eval_job(node.op, inputs)))
             ops.append(node.op)
-            job_inputs.append(inputs)
         obs = self.observe
         if obs is not None and jobs:
             # The job list is a pure function of dispatch order and memo
@@ -665,7 +663,7 @@ class Simulator:
         if not jobs:
             return []
         if self.evalpool is not None:
-            return self.evalpool.run_batch(jobs, ops, job_inputs)
+            return self.evalpool.run_batch(jobs, ops)
         return [job() for job in jobs]
 
     def _commit_dispatch(

@@ -91,13 +91,11 @@ class UncertifiedKernelError(ReproError):
 
 
 class BackendUnavailableError(ReproError):
-    """The requested evaluation backend cannot run on this host.
+    """The requested evaluation backend does not exist.
 
-    Raised when backend resolution names an unregistered backend, when
-    the process backend's prerequisites (``multiprocessing.shared_memory``,
-    the requested start method) are missing, or when a registered stub
-    (``subinterpreter``) has no implementation yet.  Callers fall back
-    explicitly -- never silently -- to ``thread`` or ``inline``.
+    Raised when backend resolution names anything but ``inline`` or
+    ``thread``.  Callers choose one of those explicitly -- nothing
+    falls back silently.
     """
 
 

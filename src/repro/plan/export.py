@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from ..errors import PlanError
+from ..errors import PlanError, ReproError
 from ..operators.aggregate import Aggregate
 from ..operators.calc import Calc
 from ..operators.exchange import Pack
@@ -178,6 +178,23 @@ def to_json(plan: Plan, *, analyze: bool = False) -> str:
     return json.dumps(document)
 
 
+def _checked(value: Any, kind: type, what: str, *, nullable: bool = False) -> Any:
+    """``value`` if it is a ``kind`` (or null when ``nullable``), else a
+    PlanError; JSON booleans are not integers here."""
+    if value is None and nullable:
+        return value
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise PlanError(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _index(value: Any, bound: int, what: str) -> int:
+    """``value`` as a node index in ``[0, bound)``, else a PlanError."""
+    if not 0 <= _checked(value, int, f"{what} index") < bound:
+        raise PlanError(f"{what} index {value} is not in [0, {bound})")
+    return value
+
+
 def _op_from_spec(spec: dict[str, Any], catalog: Catalog):
     kind = spec["kind"]
     if kind == "scan":
@@ -216,27 +233,55 @@ def _op_from_spec(spec: dict[str, Any], catalog: Catalog):
     if kind == "literal":
         return Literal(spec["value"])
     if kind == "slice":
-        return PartitionSlice(spec["lo"], spec["hi"])
+        # Fraction units are integers; the partition analysis relies on it.
+        return PartitionSlice(
+            _checked(spec["lo"], int, "slice lo"), _checked(spec["hi"], int, "slice hi")
+        )
     if kind == "vpartition":
         return ValuePartition(spec["lo"], spec["hi"])
     raise PlanError(f"unknown operator kind {kind!r}")
 
 
-def plan_from_json(text: str, catalog: Catalog) -> Plan:
-    """Re-instantiate a plan exported by :func:`to_json`."""
-    document = json.loads(text)
+def _plan_from_document(document: Any, catalog: Catalog) -> Plan:
+    if not isinstance(document, dict):
+        raise PlanError(
+            f"a plan document is a JSON object, not {type(document).__name__}"
+        )
     if document.get("version") != 1:
         raise PlanError(f"unsupported plan format version {document.get('version')!r}")
     built: list[PlanNode] = []
     for spec in document["nodes"]:
+        # An input must be built before its consumer: indexes point back.
+        inputs = [built[_index(i, len(built), "input")] for i in spec["inputs"]]
         node = PlanNode(
             _op_from_spec(spec["op"], catalog),
-            [built[i] for i in spec["inputs"]],
-            order_key=spec["order_key"],
-            label=spec["label"],
+            inputs,
+            order_key=_checked(spec["order_key"], int, "order_key", nullable=True),
+            label=_checked(spec["label"], str, "label", nullable=True),
         )
         built.append(node)
-    return Plan([built[i] for i in document["outputs"]])
+    return Plan([built[_index(i, len(built), "output")] for i in document["outputs"]])
+
+
+def plan_from_json(text: str, catalog: Catalog) -> Plan:
+    """Re-instantiate a plan exported by :func:`to_json`.
+
+    A malformed document -- invalid JSON, a missing key, a value of the
+    wrong type, an input index not below its node's position or an
+    output index not below the node count -- raises
+    :class:`~repro.errors.PlanError`; errors the catalog or an
+    operator raise (unknown column, bad parameter) keep their own
+    :class:`~repro.errors.ReproError` type.
+    """
+    try:
+        return _plan_from_document(json.loads(text), catalog)
+    except ReproError:
+        raise
+    except (
+        AttributeError, IndexError, KeyError, OverflowError, RecursionError,
+        TypeError, ValueError,
+    ) as exc:
+        raise PlanError(f"malformed plan document: {type(exc).__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,6 @@ class TestRegistryCoverage:
         # shipped kernel certifies pure.
         for cert in build_registry().certificates():
             assert cert.pure, f"{cert.operator}: {cert.issues}"
-            assert cert.picklable_params
-            assert cert.shared_memory_eligible
 
     def test_view_returning_is_a_strict_subset(self):
         certs = build_registry().certificates()
@@ -100,7 +98,6 @@ class TestCertifyType:
     def test_impure_operator_scores_issues(self):
         cert = certify_type(SelfMutatingOperator)
         assert not cert.pure
-        assert not cert.shared_memory_eligible
         assert any("instance state" in issue for issue in cert.issues)
 
     def test_pure_operator_scores_clean(self):
@@ -108,13 +105,14 @@ class TestCertifyType:
         assert cert.pure
         assert cert.issues == ()
 
-    def test_locally_defined_class_is_not_picklable(self):
+    def test_locally_defined_class_passes_the_gate(self):
+        # Threads share the address space: where a class is defined
+        # does not matter, only its (inherited) kernels do.
         class Local(PureScalarOperator):
             pass
 
-        cert = certify_type(Local)
-        assert not cert.picklable_params
-        assert not cert.shared_memory_eligible
+        assert certify_type(Local).pure
+        assert CertificateRegistry().check(Local()).pure
 
     def test_round_trip_through_json(self):
         registry = build_registry()
@@ -152,8 +150,6 @@ class TestFailClosedGate:
                     "operator": "PureScalarOperator",
                     "module": "anywhere",
                     "pure": False,
-                    "picklable_params": True,
-                    "shared_memory_eligible": False,
                     "view_returning": False,
                     "issues": ["revoked by test"],
                 }

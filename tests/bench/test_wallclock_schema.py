@@ -35,9 +35,9 @@ class TestResolveBackends:
         assert resolve_backends(None) == ("thread",)
 
     def test_dedupes_preserving_order(self):
-        assert resolve_backends(["process", "thread", "process"]) == (
-            "process",
+        assert resolve_backends(["thread", "inline", "thread"]) == (
             "thread",
+            "inline",
         )
 
     def test_unknown_backend_rejected_up_front(self):
@@ -51,15 +51,12 @@ def _report(
     hit_rate: float = 0.9,
     speedup: float = 2.0,
     slowdown: float = 1.0,
-    host_cpus: int = 1,
-    by_backend: dict | None = None,
 ) -> dict:
-    if by_backend is None:
-        by_backend = {"thread": 1.0 / slowdown if slowdown else 0.0}
+    by_backend = {"thread": 1.0 / slowdown if slowdown else 0.0}
     return {
         "schema": SCHEMA,
         "quick": True,
-        "host_cpus": host_cpus,
+        "host_cpus": 1,
         "workers_swept": [1, 2],
         "backends_swept": sorted(by_backend),
         "workloads": [{"name": "w", "identical": identical}],
@@ -102,27 +99,3 @@ class TestCheckReport:
     def test_worker_slowdown_unchecked_by_default(self):
         check_report(_report(slowdown=3.0))
 
-
-class TestProcessSpeedupGate:
-    def test_fails_below_floor_on_multicore(self):
-        report = _report(host_cpus=8, by_backend={"process": 1.1, "thread": 0.9})
-        with pytest.raises(ReproError, match="process-backend"):
-            check_report(report, min_process_speedup=1.5)
-
-    def test_passes_at_or_above_floor(self):
-        report = _report(host_cpus=8, by_backend={"process": 1.8, "thread": 0.9})
-        check_report(report, min_process_speedup=1.5)
-
-    def test_skipped_on_single_cpu_host(self):
-        # A 1-CPU runner physically cannot show parallel speedup; the
-        # gate must skip rather than fail there.
-        report = _report(host_cpus=1, by_backend={"process": 0.4})
-        check_report(report, min_process_speedup=1.5)
-
-    def test_skipped_when_process_not_swept(self):
-        report = _report(host_cpus=8, by_backend={"thread": 0.9})
-        check_report(report, min_process_speedup=1.5)
-
-    def test_unchecked_by_default(self):
-        report = _report(host_cpus=8, by_backend={"process": 0.2})
-        check_report(report)

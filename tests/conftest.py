@@ -67,31 +67,6 @@ def regen_golden(request: pytest.FixtureRequest) -> bool:
     return bool(request.config.getoption("--regen-golden"))
 
 
-@pytest.fixture(autouse=True)
-def no_shm_leaks():
-    """Fail any test that leaks a repro-* shared-memory segment.
-
-    The process evaluation backend publishes columns and scratch
-    results into ``multiprocessing.shared_memory``; every segment must
-    be unlinked by the time the owning pool is closed.  A segment left
-    in /dev/shm would survive the interpreter and eventually fill the
-    tmpfs, so treat any leak as a test failure at the test that caused
-    it.
-    """
-    import repro.engine.shm as shm
-
-    def snapshot() -> set[str]:
-        try:
-            return {n for n in os.listdir("/dev/shm") if n.startswith("repro-")}
-        except OSError:  # non-POSIX host: fall back to our own registry
-            return set(shm.live_segment_names())
-
-    before = snapshot()
-    yield
-    leaked = snapshot() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
-
-
 @pytest.fixture()
 def host_workers() -> int | None:
     """Evaluation-pool width for suites honoring the CI chaos matrix.

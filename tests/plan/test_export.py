@@ -6,7 +6,12 @@ import json
 
 import pytest
 
-from repro.core import AdaptiveParallelizer, ConvergenceParams, intermediates_equal
+from repro.core import (
+    AdaptiveParallelizer,
+    ConvergenceParams,
+    HeuristicParallelizer,
+    intermediates_equal,
+)
 from repro.engine import execute
 from repro.errors import PlanError
 from repro.operators import LikePredicate, RangePredicate
@@ -78,6 +83,84 @@ class TestJsonRoundTrip:
         plan.set_outputs([scan])
         with pytest.raises(PlanError, match="label"):
             to_json(plan)
+
+
+#: Marks a field that :func:`_edited` deletes instead of replacing.
+DROP = object()
+
+
+def _edited(catalog, kind, path, value):
+    """A real export of a partitioned :func:`build_plan`, one field
+    replaced by ``value`` (or dropped).  ``kind`` picks the first node
+    of that operator kind; None edits the document itself."""
+    plan = HeuristicParallelizer(4).parallelize(build_plan(catalog))
+    document = json.loads(to_json(plan))
+    target = document
+    if kind is not None:
+        target = next(n for n in document["nodes"] if n["op"]["kind"] == kind)
+    *parents, key = path
+    for step in parents:
+        target = target[step]
+    if value is DROP:
+        del target[key]
+    else:
+        target[key] = value
+    return json.dumps(document)
+
+
+class TestMalformedDocuments:
+    """Every malformed document fails with a PlanError, and indexes must
+    point at nodes that exist: an input at one built before its
+    consumer, an output at any node."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["nope", "[1, 2]", '"a string"', "null", '{"version": 1}',
+         '{"version": 1, "nodes": 3, "outputs": []}', "[" * 100_000],
+        ids=["not-json", "list", "string", "null", "no-nodes", "nodes-not-list",
+             "too-deep"],
+    )
+    def test_bad_top_level(self, small_catalog, text):
+        with pytest.raises(PlanError):
+            plan_from_json(text, small_catalog)
+
+    @pytest.mark.parametrize(
+        "kind,path,value",
+        [
+            ("select", ("inputs",), [5_000]),
+            ("select", ("inputs",), [-1]),
+            ("select", ("inputs",), [True]),
+            ("select", ("inputs",), ["0"]),
+            ("scan", ("inputs",), [0]),  # the first node names itself
+            (None, ("outputs",), [-1]),
+            (None, ("outputs",), [5_000]),
+            (None, ("outputs",), 0),
+            ("select", ("op",), 3),
+            ("select", ("order_key",), "7"),
+            ("select", ("label",), 7),
+            ("select", ("inputs",), DROP),
+            ("select", ("op", "predicate"), DROP),
+            ("slice", ("op", "lo"), 1.5),
+            ("scan", ("op", "hi"), float("inf")),
+        ],
+        ids=[
+            "input-too-large", "input-negative", "input-bool", "input-str",
+            "input-self", "output-negative", "output-too-large",
+            "outputs-not-list", "op-not-object", "order-key-str", "label-int",
+            "no-inputs-key", "no-predicate", "slice-float", "scan-infinite",
+        ],
+    )
+    def test_bad_node(self, small_catalog, kind, path, value):
+        text = _edited(small_catalog, kind, path, value)
+        with pytest.raises(PlanError):
+            plan_from_json(text, small_catalog)
+
+    def test_catalog_errors_keep_their_type(self, small_catalog):
+        from repro.errors import StorageError
+
+        text = _edited(small_catalog, "scan", ("op", "column"), "nope")
+        with pytest.raises(StorageError):
+            plan_from_json(text, small_catalog)
 
 
 class TestDot:

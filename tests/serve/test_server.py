@@ -18,7 +18,7 @@ import pytest
 from repro.serve import ReproServer, TenantDirectory, TenantSpec
 from repro.serve.tenants import INTERACTIVE
 
-from tests.serve.conftest import COUNT_SQL, GROUP_SQL
+from tests.serve.conftest import COUNT_SQL, GROUP_SQL, SUM_SQL
 
 
 class TestLifecycle:
@@ -316,11 +316,11 @@ class TestGracefulShutdown:
         asyncio.run(main())
 
     def test_no_orphaned_pool_workers(self, serve_config, small_catalog):
-        # The autouse no_shm_leaks fixture asserts the process backend
-        # left nothing behind; here we just drive it through the server.
+        before = set(threading.enumerate())
+
         async def main():
             server = ReproServer(
-                serve_config, small_catalog, workers=2, backend="process"
+                serve_config, small_catalog, workers=2, backend="thread"
             )
             await server.start()
             reader, writer = await asyncio.open_connection(
@@ -328,7 +328,7 @@ class TestGracefulShutdown:
             )
             writer.write(b'{"op":"hello","tenant":"gold"}\n')
             writer.write(
-                json.dumps({"op": "query", "sql": COUNT_SQL}).encode() + b"\n"
+                json.dumps({"op": "query", "sql": SUM_SQL}).encode() + b"\n"
             )
             await writer.drain()
             assert json.loads(await reader.readline())["ok"]
@@ -338,5 +338,12 @@ class TestGracefulShutdown:
             await server.stop()
             assert server.engine._pool is not None
             assert server.engine._pool._closed
+            # The statement ran a batch on the pool threads.
+            assert server.engine._pool.stats().parallel_batches > 0
 
         asyncio.run(main())
+        left = [
+            t.name for t in set(threading.enumerate()) - before
+            if t.name.startswith("repro-eval")
+        ]
+        assert not left, f"pool threads outlived the server: {left}"

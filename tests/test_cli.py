@@ -220,6 +220,18 @@ class TestLint:
         out = capsys.readouterr().out
         assert "error" in out and "partition." in out
 
+    def test_lint_malformed_plan_json_is_a_clean_error(self, capsys, tmp_path):
+        from repro.plan import to_json
+        from repro.workloads import TpchDataset
+
+        document = json.loads(to_json(TpchDataset(scale_factor=1).plan("q6")))
+        document["outputs"] = [len(document["nodes"])]
+        for text in ("[1, 2]", json.dumps(document)):
+            target = tmp_path / "plan.json"
+            target.write_text(text)
+            assert main(["lint", "--plan-json", str(target), "--sf", "1"]) == 1
+            assert "error: " in capsys.readouterr().err
+
     def test_lint_strict_fails_on_warnings(self, capsys, tmp_path):
         import json
 
