@@ -21,7 +21,8 @@ a rewrite that breaks shard lineage is rolled back and recorded as a
 rejection, never executed.
 
 :class:`ClusterAdaptiveParallelizer` is the drop-in driver: the same
-credit/debit (or bandit) walk, run on a :class:`ClusterSimulator`.
+credit/debit (or bandit) loop and fault-retry runner, with each run
+executed on a :class:`ClusterSimulator` (it overrides only ``_execute``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from ..core.convergence import ConvergenceParams
 from ..core.mutation import MutationRejection, MutationResult, PlanMutator
 from ..engine.profiler import QueryProfile
 from ..engine.scheduler import ExecutionResult
-from ..errors import ClusterError, ConvergenceError, InjectedFaultError
+from ..errors import ClusterError
 from ..plan.analysis import analyze_plan
 from ..plan.graph import Plan
 from ..storage.sharded import ShardMap
@@ -282,30 +283,13 @@ class ClusterAdaptiveParallelizer(AdaptiveParallelizer):
             data_scale=self.config.data_scale,
         )
 
-    def _default_runner(self, plan: Plan, run_index: int) -> ExecutionResult:
-        config = self.config.with_seed(self.config.seed + run_index)
-        attempts = 1 + (self.fault_retries if self.faults is not None else 0)
-        for attempt in range(attempts):
-            try:
-                return cluster_execute(
-                    plan,
-                    self.cluster,
-                    config,
-                    memo=self.memo,
-                    evalpool=self.evalpool,
-                    faults=self.faults,
-                    trace=self.observe,
-                )
-            except InjectedFaultError as error:
-                if attempt + 1 >= attempts:
-                    raise ConvergenceError(
-                        f"run {run_index} kept failing after "
-                        f"{self.fault_retries} fault retries: {error}"
-                    ) from error
-                self._fault_retries_used += 1
-                if self.observe is not None:
-                    self.observe.metrics.counter(
-                        "repro_fault_retries_total",
-                        "adaptive runs re-executed after an injected fault",
-                    ).inc()
-        raise AssertionError("unreachable")
+    def _execute(self, plan: Plan, config: SimulationConfig) -> ExecutionResult:
+        return cluster_execute(
+            plan,
+            self.cluster,
+            config,
+            memo=self.memo,
+            evalpool=self.evalpool,
+            faults=self.faults,
+            trace=self.observe,
+        )

@@ -1,6 +1,11 @@
 """Adaptive parallelization: the paper's primary contribution."""
 
-from .adaptive import AdaptiveParallelizer, AdaptiveResult, intermediates_equal
+from .adaptive import (
+    AdaptiveParallelizer,
+    AdaptiveResult,
+    AdaptiveStep,
+    intermediates_equal,
+)
 from .convergence import (
     DEFAULT_EXTRA_RUNS,
     DEFAULT_GME_THRESHOLD,
@@ -33,6 +38,7 @@ __all__ = [
     "AdaptiveParallelizer",
     "AdaptiveResult",
     "AdaptiveSession",
+    "AdaptiveStep",
     "BASIC_KINDS",
     "CacheEntry",
     "ConvergenceParams",

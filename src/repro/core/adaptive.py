@@ -3,10 +3,12 @@
 ``AdaptiveParallelizer.optimize`` repeatedly executes a query: run 0 is
 the serial plan; before every further run the most expensive operator of
 the previous run is parallelized (plan morphing); the convergence
-tracker decides when to stop and which run holds the global minimum
-execution.  The returned result carries the GME plan -- the plan a
-production system would cache for future invocations of the query
-template.
+policy decides when to stop and which run holds the global minimum
+execution.  The loop's state lives in one :class:`AdaptiveStep`
+(``next_plan()`` / ``observe(result)``), so the query session of
+:mod:`repro.core.session` steps the same loop one invocation at a time.
+The returned result carries the GME plan -- the plan a production
+system would cache for future invocations of the query template.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from ..config import SimulationConfig
 from ..engine.evalpool import EvalPool
 from ..engine.executor import execute
 from ..engine.memo import IntermediateCache
+from ..engine.profiler import QueryProfile
 from ..engine.scheduler import ExecutionResult
 from ..errors import ConvergenceError, InjectedFaultError
 from ..learn.bandit import (
@@ -258,17 +261,6 @@ class AdaptiveParallelizer:
         if bandit_confidence < 1:
             raise ConvergenceError("bandit_confidence must be >= 1")
         self.bandit_confidence = bandit_confidence
-        self._decisions: list[DopDecision] = []
-
-    @property
-    def _learn_active(self) -> bool:
-        """True when the learned-DOP layer may change behaviour.
-
-        Gates the policy-decision observability events so the default
-        credit/debit trace stays byte-identical to the pre-learn engine
-        (the golden fixtures pin it).
-        """
-        return self.policy != POLICY_CREDIT_DEBIT or self.experience is not None
 
     def close(self) -> None:
         """Release pooled workers and persist experience (idempotent).
@@ -296,6 +288,17 @@ class AdaptiveParallelizer:
         """
         return PlanMutator(working, pack_fanin_limit=self.pack_fanin_limit)
 
+    def _execute(self, plan: Plan, config: SimulationConfig) -> ExecutionResult:
+        """Execute one attempt of a run (the cluster layer overrides this)."""
+        return execute(
+            plan,
+            config,
+            memo=self.memo,
+            evalpool=self.evalpool,
+            faults=self.faults,
+            trace=self.observe,
+        )
+
     def _default_runner(self, plan: Plan, run_index: int) -> ExecutionResult:
         # A distinct seed per run lets noise vary between runs while
         # keeping the whole adaptive instance reproducible.
@@ -303,14 +306,7 @@ class AdaptiveParallelizer:
         attempts = 1 + (self.fault_retries if self.faults is not None else 0)
         for attempt in range(attempts):
             try:
-                return execute(
-                    plan,
-                    config,
-                    memo=self.memo,
-                    evalpool=self.evalpool,
-                    faults=self.faults,
-                    trace=self.observe,
-                )
+                return self._execute(plan, config)
             except InjectedFaultError as error:
                 if attempt + 1 >= attempts:
                     raise ConvergenceError(
@@ -352,49 +348,6 @@ class AdaptiveParallelizer:
         ).inc()
         return result
 
-    def _note_mutation(self, mutation: MutationResult, run: int) -> None:
-        """Record one accepted plan morph as a ``mutation`` event."""
-        obs = self.observe
-        if obs is None:
-            return
-        obs.tracer.event(
-            "mutation",
-            "mutation",
-            0.0,
-            run=run,
-            description=mutation.description,
-        )
-        obs.metrics.counter(
-            "repro_mutations_total", "plan mutations accepted"
-        ).inc()
-
-    def _note_decision(self, decision: DopDecision) -> None:
-        """Record one run's DOP decision (and trace it when learning).
-
-        Decisions are always collected (``adapt --explain`` works for
-        the plain credit/debit policy too); the observability events are
-        only emitted when the learned-DOP layer is active, so the
-        default policy's canonical trace bytes stay identical to the
-        pre-learn engine.
-        """
-        self._decisions.append(decision)
-        obs = self.observe
-        if obs is None or not self._learn_active:
-            return
-        obs.tracer.event(
-            "dop_decision",
-            "policy",
-            0.0,
-            run=decision.run,
-            source=decision.source,
-            dop=decision.dop,
-        )
-        obs.metrics.counter(
-            "repro_dop_decisions_total",
-            "per-run DOP decisions by provenance",
-            source=decision.source,
-        ).inc()
-
     def optimize(self, plan: Plan) -> AdaptiveResult:
         """Adaptively parallelize ``plan``; the input plan is not touched."""
         obs = self.observe
@@ -426,14 +379,13 @@ class AdaptiveParallelizer:
         return result
 
     def _optimize(self, plan: Plan) -> AdaptiveResult:
-        self._decisions = []
         self._fault_retries_used = 0
         consult = self._consult(plan)
-        warm = consult.record if consult is not None else None
-        if self.policy == POLICY_BANDIT:
-            result = self._optimize_bandit(plan, warm)
-        else:
-            result = self._optimize_credit_debit(plan, warm, consult)
+        policy = BanditStep if self.policy == POLICY_BANDIT else CreditDebitStep
+        step = policy(self, plan, consult)
+        while (working := step.next_plan()) is not None:
+            step.observe(self._run_traced(working, step.run))
+        result = step.result()
         self._remember(consult, result)
         return result
 
@@ -492,237 +444,6 @@ class AdaptiveParallelizer:
             )
         )
 
-    # -- credit/debit (optionally warm-started) ------------------------
-    def _optimize_credit_debit(
-        self,
-        plan: Plan,
-        warm: ExperienceRecord | None,
-        consult: "_Consult | None",
-    ) -> AdaptiveResult:
-        working = plan.copy()
-        mutator = self._make_mutator(working)
-        tracker = ConvergenceTracker(self.convergence)
-        history = PlanHistory()
-        mutations: list[MutationResult] = []
-        reports: list[AnalysisReport | None] = []
-
-        result = self._run_traced(working, 0)
-        reference = result.outputs if self.verify else None
-        tracker.observe(result.response_time)
-        history.record(result.response_time)
-        history.snapshot_serial(working)
-        last_profile = result.profile
-        run = 0
-        applied = 0
-
-        # The warm start (policy warmstart+credit_debit with a usable
-        # record): replay the converged mutation count in as few runs as
-        # possible before handing over to the paper's algorithm.  Each
-        # warm round applies every mutation the current profile affords
-        # (the mutator targets operators from the *last executed* plan's
-        # profile, so a fresh run is needed between batches), which
-        # collapses ~dop single-mutation runs into a handful.  The
-        # credit/debit tracker still sees every run and keeps exploring
-        # afterwards, so a stale or collided transfer degrades into the
-        # cold walk, never a wrong answer.
-        warm_target = 0
-        if self.policy == POLICY_WARMSTART:
-            if warm is not None and warm.dop > 0:
-                warm_target = warm.dop
-            else:
-                detail = (
-                    consult.miss_reason
-                    if consult is not None and consult.miss_reason
-                    else "record has dop=0"
-                    if warm is not None
-                    else "no experience store"
-                )
-                self._note_decision(
-                    DopDecision(0, "cold_fallback", 0, detail=detail)
-                )
-        self._note_decision(DopDecision(0, "serial", 0))
-
-        while tracker.should_continue():
-            remaining_warm = warm_target - applied
-            if remaining_warm > 0:
-                budget = max(remaining_warm, self.mutations_per_run)
-                source = "warm_start"
-                assert warm is not None
-                detail = (
-                    f"experience dop={warm.dop} from {warm.updates} "
-                    f"instance(s), recorded gme_run={warm.gme_run}"
-                )
-            else:
-                budget = self.mutations_per_run
-                source = "credit_debit"
-                detail = ""
-            mutation = mutator.mutate(last_profile)
-            if mutation is None:
-                break  # fully parallelized (or suppressed): nothing to morph
-            mutations.append(mutation)
-            reports.append(mutator.last_report)
-            self._note_mutation(mutation, run + 1)
-            applied += 1
-            for __ in range(budget - 1):
-                extra = mutator.mutate(last_profile)
-                if extra is None:
-                    break
-                mutations.append(extra)
-                reports.append(mutator.last_report)
-                self._note_mutation(extra, run + 1)
-                applied += 1
-            run += 1
-            self._note_decision(DopDecision(run, source, applied, detail=detail))
-            result = self._run_traced(working, run)
-            if reference is not None:
-                self._check_outputs(reference, result.outputs, run)
-            record = tracker.observe(result.response_time)
-            history.record(result.response_time)
-            if record.gme_run == run and record.gme_time < tracker.serial_time:
-                history.snapshot_best(working, run)
-            last_profile = result.profile
-
-        gme_time = tracker.gme_time if run > 0 else tracker.serial_time
-        gme_run = tracker.gme_run if run > 0 else 0
-        if history.best_plan is None or gme_time >= tracker.serial_time:
-            # Parallelism never beat serial: keep the serial plan.
-            history.snapshot_best(history.serial_plan, 0)
-            gme_time = tracker.serial_time
-            gme_run = 0
-        return AdaptiveResult(
-            best_plan=history.choose(),
-            serial_time=tracker.serial_time,
-            gme_time=gme_time,
-            gme_run=gme_run,
-            total_runs=tracker.runs,
-            history=list(tracker.history),
-            mutations=mutations,
-            final_plan=working,
-            reports=reports,
-            rejections=list(mutator.rejections),
-            fault_retries=self._fault_retries_used,
-            policy=self.policy,
-            decisions=list(self._decisions),
-            warm_start=warm_target > 0,
-            gme_threshold=self.convergence.gme_threshold,
-        )
-
-    # -- seeded UCB bandit over DOP levels -----------------------------
-    def _optimize_bandit(
-        self, plan: Plan, warm: ExperienceRecord | None
-    ) -> AdaptiveResult:
-        """Replace the credit/debit walk with a UCB sweep over DOP arms.
-
-        The mutation ladder is shared with the paper's machinery: arm
-        ``k`` executes a snapshot of the working plan after ``k``
-        accepted mutations, extended lazily with the most recent
-        deepest-run profile (the ``mutations_per_run`` batching
-        precedent).  All advisor randomness is seeded and drawn on the
-        main thread in run order, so traces are bit-reproducible.
-        """
-        working = plan.copy()
-        mutator = self._make_mutator(working)
-        history = PlanHistory()
-        mutations: list[MutationResult] = []
-        reports: list[AnalysisReport | None] = []
-        ladder = _DopLadder(working, mutator, mutations, reports)
-
-        result = self._run_traced(working, 0)
-        reference = result.outputs if self.verify else None
-        serial_time = result.response_time
-        history.record(serial_time)
-        history.snapshot_serial(working)
-        last_profile = result.profile
-
-        arms = default_dop_arms(self.convergence.number_of_cores)
-        advisor = BanditAdvisor(
-            arms,
-            seed=self.config.derive_seed("learn.bandit"),
-            confidence_pulls=self.bandit_confidence,
-            warm_arm=warm.dop if warm is not None and warm.dop > 0 else None,
-        )
-        records: list[RunRecord] = [
-            RunRecord(0, serial_time, 0.0, 0.0, 0.0, False, 0, serial_time)
-        ]
-        # Run 0 is arm dop=0's first pull (reward: speedup 1.0).
-        advisor.observe(advisor.nearest_arm(0), 1.0)
-        self._note_decision(
-            DopDecision(
-                0,
-                "serial",
-                0,
-                detail=f"bandit arms {list(arms)}"
-                + (f", warm arm dop={warm.dop}" if warm is not None else ""),
-            )
-        )
-
-        gme_time: float | None = None
-        gme_run = 0
-        run = 0
-        max_rounds = min(
-            self.convergence.max_runs,
-            len(arms) * (self.bandit_confidence + 2),
-        )
-        while advisor.total_pulls < max_rounds and not advisor.converged():
-            index = advisor.select()
-            target = advisor.arms[index].dop
-            actual = ladder.ensure(target, last_profile, self._note_mutation, run + 1)
-            if ladder.exhausted_at == 0:
-                break  # nothing in this plan can be parallelized
-            run += 1
-            to_run = ladder.working if actual == ladder.depth else ladder.plan_at(actual)
-            self._note_decision(
-                DopDecision(
-                    run,
-                    "bandit_arm",
-                    actual,
-                    detail=f"arm dop={target}"
-                    + (f" capped at {actual}" if actual < target else "")
-                    + f", pull {advisor.arms[index].pulls + 1}",
-                )
-            )
-            result = self._run_traced(to_run, run)
-            if reference is not None:
-                self._check_outputs(reference, result.outputs, run)
-            exec_time = result.response_time
-            if actual == ladder.depth:
-                last_profile = result.profile
-            advisor.observe(index, serial_time / exec_time)
-            history.record(exec_time)
-            if gme_time is None or exec_time < gme_time:
-                gme_time = exec_time
-                gme_run = run
-                if exec_time < serial_time:
-                    history.snapshot_best(ladder.plan_at(actual), run)
-            prev = records[-1].exec_time
-            roi = (prev - exec_time) / max(exec_time, prev)
-            records.append(
-                RunRecord(run, exec_time, roi, 0.0, 0.0, False, gme_run, gme_time)
-            )
-
-        if gme_time is None or gme_time >= serial_time:
-            history.snapshot_best(history.serial_plan, 0)
-            gme_time = serial_time
-            gme_run = 0
-        return AdaptiveResult(
-            best_plan=history.choose(),
-            serial_time=serial_time,
-            gme_time=gme_time,
-            gme_run=gme_run,
-            total_runs=len(records),
-            history=records,
-            mutations=mutations,
-            final_plan=working,
-            reports=reports,
-            rejections=list(mutator.rejections),
-            fault_retries=self._fault_retries_used,
-            policy=self.policy,
-            decisions=list(self._decisions),
-            warm_start=warm is not None and warm.dop > 0,
-            bandit_arms=advisor.summary(),
-            gme_threshold=self.convergence.gme_threshold,
-        )
-
     def explain(self, result: AdaptiveResult) -> list[str]:
         """Human-readable DOP provenance lines for ``adapt --explain``."""
         lines = [d.as_diagnostic().format() for d in result.decisions]
@@ -732,24 +453,6 @@ class AdaptiveParallelizer:
                 f"{arm['pulls']} pull(s), mean speedup {arm['mean_reward']:.4f}"
             )
         return lines
-
-    def _check_outputs(
-        self,
-        reference: Sequence[Intermediate],
-        outputs: Sequence[Intermediate],
-        run: int,
-    ) -> None:
-        if len(reference) != len(outputs):
-            raise ConvergenceError(
-                f"run {run}: output arity changed ({len(outputs)} vs "
-                f"{len(reference)})"
-            )
-        for i, (ref, out) in enumerate(zip(reference, outputs)):
-            if not intermediates_equal(ref, out):
-                raise ConvergenceError(
-                    f"run {run}: output {i} differs from the serial plan -- "
-                    "mutation broke the plan"
-                )
 
 
 @dataclass(frozen=True)
@@ -762,60 +465,346 @@ class _Consult:
     miss_reason: str = ""
 
 
-class _DopLadder:
-    """Snapshots of the working plan at each accepted-mutation depth.
+class AdaptiveStep:
+    """One adaptive instance, stepped one run at a time.
 
-    The bandit pulls arms out of DOP order, but the mutation machinery
-    only moves forward (each morph targets the most expensive operator
-    of the deepest profile so far).  The ladder therefore keeps one
-    frozen copy per depth: extending to a new deepest arm mutates the
-    live working plan (whose profile feeds the next extension), while
-    re-pulling a shallower arm executes that depth's snapshot.
-    Simulated run times depend only on plan structure, so a snapshot
-    and the working plan at the same depth time identically.
+    The paper's adapt-execute-observe loop, shaped like a Cuttlefish
+    tuner's ``choose()``/``observe(reward)``: :meth:`next_plan` returns
+    the plan the next run executes -- the serial plan first -- or
+    ``None`` once the policy has converged, and :meth:`observe` takes
+    that run's :class:`ExecutionResult`.  :attr:`run` is the index of
+    the plan :meth:`next_plan` handed out last.  The step owns a private
+    copy of the plan, its mutator and the run bookkeeping; the caller
+    owns execution, so :meth:`AdaptiveParallelizer.optimize` and
+    :class:`~repro.core.session.AdaptiveSession` drive the same loop.
+
+    Subclasses are the convergence policies, :class:`CreditDebitStep`
+    (the paper's walk, optionally warm-started) and :class:`BanditStep`
+    (UCB1 over DOP levels).  They set up on the serial run
+    (``_start``), choose each later run's plan (``_next``), observe it
+    (``_observe``) and build the :class:`AdaptiveResult` (``result``).
     """
 
     def __init__(
         self,
-        working: Plan,
-        mutator: PlanMutator,
-        mutations: list[MutationResult],
-        reports: list[AnalysisReport | None],
+        owner: AdaptiveParallelizer,
+        plan: Plan,
+        consult: _Consult | None = None,
     ) -> None:
-        self.working = working
-        self.mutator = mutator
-        self.mutations = mutations
-        self.reports = reports
-        self.depth = 0
-        #: Depth at which the mutator ran dry, or None while extendable.
-        self.exhausted_at: int | None = None
-        self._snapshots: dict[int, Plan] = {0: working.copy()}
+        self.owner = owner
+        self.consult = consult
+        #: The experience record the store returned, if any.
+        self.warm = consult.record if consult is not None else None
+        self.working = plan.copy()
+        self.mutator = owner._make_mutator(self.working)
+        self.history = PlanHistory()
+        self.history.snapshot_serial(self.working)
+        self.mutations: list[MutationResult] = []
+        self.reports: list[AnalysisReport | None] = []
+        self.decisions: list[DopDecision] = []
+        self.run = 0
+        #: Profile the next mutation targets; None until run 0 is observed.
+        self.last_profile: QueryProfile | None = None
+        self._reference: Sequence[Intermediate] | None = None
 
-    def plan_at(self, depth: int) -> Plan:
-        return self._snapshots[depth]
+    @property
+    def warm_start(self) -> bool:
+        """True when an experience record seeds the search."""
+        return self.warm is not None and self.warm.dop > 0
 
-    def ensure(
-        self,
-        target: int,
-        profile,
-        note: Callable[[MutationResult, int], None],
-        run: int,
-    ) -> int:
-        """Extend toward ``target`` mutations; return the depth reached.
+    def next_plan(self) -> Plan | None:
+        if self.last_profile is None:
+            return self.working  # the serial run comes first
+        plan = self._next(self.run + 1)
+        if plan is not None:
+            self.run += 1
+        return plan
 
-        ``profile`` must come from a run of the live working plan (the
-        mutator only accepts candidates whose nodes are in its plan).
-        A target beyond the exhaustion point is silently capped -- the
-        caller labels the decision accordingly.
+    def observe(self, result: ExecutionResult) -> None:
+        if self.run == 0:
+            self._reference = result.outputs if self.owner.verify else None
+            self._start(result)
+            return
+        if self._reference is not None:
+            self._verify(result.outputs)
+        self._observe(result)
+
+    # -- policy hooks ---------------------------------------------------
+    def _start(self, result: ExecutionResult) -> None:
+        raise NotImplementedError
+
+    def _next(self, run: int) -> Plan | None:
+        raise NotImplementedError
+
+    def _observe(self, result: ExecutionResult) -> None:
+        raise NotImplementedError
+
+    def result(self) -> AdaptiveResult:
+        """The instance's outcome, once :meth:`next_plan` returned None."""
+        raise NotImplementedError
+
+    # -- shared machinery -----------------------------------------------
+    def _mutate(self, run: int) -> bool:
+        """Apply one mutation ahead of ``run``; False when none is left."""
+        assert self.last_profile is not None
+        mutation = self.mutator.mutate(self.last_profile)
+        if mutation is None:
+            return False  # fully parallelized (or suppressed)
+        self.mutations.append(mutation)
+        self.reports.append(self.mutator.last_report)
+        obs = self.owner.observe
+        if obs is not None:
+            obs.tracer.event(
+                "mutation",
+                "mutation",
+                0.0,
+                run=run,
+                description=mutation.description,
+            )
+            obs.metrics.counter(
+                "repro_mutations_total", "plan mutations accepted"
+            ).inc()
+        return True
+
+    def _decide(self, run: int, source: str, dop: int, detail: str = "") -> None:
+        """Record why ``run`` executes at ``dop`` (and trace it).
+
+        Decisions are always collected (``adapt --explain`` works for
+        the plain credit/debit policy too); the observability events are
+        only emitted when the learned-DOP layer may change behaviour (a
+        non-default policy or an experience store), so the default
+        policy's canonical trace bytes stay identical to the pre-learn
+        engine (the golden fixtures pin it).
         """
-        while self.depth < target and self.exhausted_at is None:
-            mutation = self.mutator.mutate(profile)
-            if mutation is None:
-                self.exhausted_at = self.depth
+        self.decisions.append(DopDecision(run, source, dop, detail=detail))
+        owner = self.owner
+        obs = owner.observe
+        if obs is None or (
+            owner.policy == POLICY_CREDIT_DEBIT and owner.experience is None
+        ):
+            return
+        obs.tracer.event(
+            "dop_decision",
+            "policy",
+            0.0,
+            run=run,
+            source=source,
+            dop=dop,
+        )
+        obs.metrics.counter(
+            "repro_dop_decisions_total",
+            "per-run DOP decisions by provenance",
+            source=source,
+        ).inc()
+
+    def _verify(self, outputs: Sequence[Intermediate]) -> None:
+        reference = self._reference
+        assert reference is not None
+        run = self.run
+        if len(reference) != len(outputs):
+            raise ConvergenceError(
+                f"run {run}: output arity changed ({len(outputs)} vs "
+                f"{len(reference)})"
+            )
+        for i, (ref, out) in enumerate(zip(reference, outputs)):
+            if not intermediates_equal(ref, out):
+                raise ConvergenceError(
+                    f"run {run}: output {i} differs from the serial plan -- "
+                    "mutation broke the plan"
+                )
+
+    def _result(
+        self, gme_time: float, gme_run: int, records: list[RunRecord]
+    ) -> AdaptiveResult:
+        serial_time = records[0].exec_time
+        history = self.history
+        if history.best_plan is None or gme_time >= serial_time:
+            # Parallelism never beat serial: keep the serial plan.
+            history.snapshot_best(history.serial_plan, 0)
+            gme_time, gme_run = serial_time, 0
+        owner = self.owner
+        return AdaptiveResult(
+            best_plan=history.choose(),
+            serial_time=serial_time,
+            gme_time=gme_time,
+            gme_run=gme_run,
+            total_runs=len(records),
+            history=records,
+            mutations=self.mutations,
+            final_plan=self.working,
+            reports=self.reports,
+            rejections=list(self.mutator.rejections),
+            fault_retries=owner._fault_retries_used,
+            policy=owner.policy,
+            decisions=list(self.decisions),
+            warm_start=self.warm_start,
+            gme_threshold=owner.convergence.gme_threshold,
+        )
+
+
+class CreditDebitStep(AdaptiveStep):
+    """The paper's walk: mutate before every run until credit runs out.
+
+    With the warm-start policy and a usable experience record, the
+    converged mutation count is replayed in as few runs as possible
+    before handing over to the paper's algorithm.  Each warm round
+    applies every mutation the current profile affords (the mutator
+    targets operators from the *last executed* plan's profile, so a
+    fresh run is needed between batches), which collapses ~dop
+    single-mutation runs into a handful.  The credit/debit tracker
+    still sees every run and keeps exploring afterwards, so a stale or
+    collided transfer degrades into the cold walk, never a wrong answer.
+    """
+
+    def _start(self, result: ExecutionResult) -> None:
+        self.tracker = ConvergenceTracker(self.owner.convergence)
+        self._observe(result)
+        if self.owner.policy == POLICY_WARMSTART and not self.warm_start:
+            consult = self.consult
+            detail = (
+                consult.miss_reason
+                if consult is not None and consult.miss_reason
+                else "record has dop=0"
+                if self.warm is not None
+                else "no experience store"
+            )
+            self._decide(0, "cold_fallback", 0, detail)
+        self._decide(0, "serial", 0)
+
+    def _next(self, run: int) -> Plan | None:
+        if not self.tracker.should_continue():
+            return None
+        budget = self.owner.mutations_per_run
+        source, detail = "credit_debit", ""
+        warm = self.warm
+        if warm is not None and warm.dop > len(self.mutations):
+            budget = max(warm.dop - len(self.mutations), budget)
+            source = "warm_start"
+            detail = (
+                f"experience dop={warm.dop} from {warm.updates} "
+                f"instance(s), recorded gme_run={warm.gme_run}"
+            )
+        if not self._mutate(run):
+            return None
+        for __ in range(budget - 1):
+            if not self._mutate(run):
                 break
-            self.mutations.append(mutation)
-            self.reports.append(self.mutator.last_report)
-            self.depth += 1
-            note(mutation, run)
-            self._snapshots[self.depth] = self.working.copy()
-        return min(target, self.depth)
+        self._decide(run, source, len(self.mutations), detail)
+        return self.working
+
+    def _observe(self, result: ExecutionResult) -> None:
+        tracker = self.tracker
+        record = tracker.observe(result.response_time)
+        if (
+            self.run > 0
+            and record.gme_run == self.run
+            and record.gme_time < tracker.serial_time
+        ):
+            self.history.snapshot_best(self.working, self.run)
+        self.last_profile = result.profile
+
+    def result(self) -> AdaptiveResult:
+        tracker = self.tracker
+        records = list(tracker.history)
+        if self.run == 0:
+            return self._result(tracker.serial_time, 0, records)
+        return self._result(tracker.gme_time, tracker.gme_run, records)
+
+
+class BanditStep(AdaptiveStep):
+    """A seeded UCB sweep over DOP arms instead of the credit/debit walk.
+
+    The mutation ladder is shared with the paper's machinery: arm ``k``
+    executes the working plan after ``k`` accepted mutations, extended
+    lazily with the most recent deepest-run profile (the
+    ``mutations_per_run`` batching precedent).  The bandit pulls arms
+    out of DOP order, but mutations only move forward, so the step
+    keeps one frozen copy per depth (``rungs``): extending to a new
+    deepest arm mutates the live working plan, whose profile feeds the
+    next extension, while re-pulling a shallower arm executes that
+    depth's copy.  Simulated run times depend only on plan structure,
+    so a copy and the working plan at the same depth time identically.
+    All advisor randomness is seeded and drawn in run order, so traces
+    are bit-reproducible.
+    """
+
+    def _start(self, result: ExecutionResult) -> None:
+        owner, warm = self.owner, self.warm
+        assert self.history.serial_plan is not None
+        self.rungs: dict[int, Plan] = {0: self.history.serial_plan}
+        self.exhausted = False
+        arms = default_dop_arms(owner.convergence.number_of_cores)
+        self.advisor = BanditAdvisor(
+            arms,
+            seed=owner.config.derive_seed("learn.bandit"),
+            confidence_pulls=owner.bandit_confidence,
+            warm_arm=warm.dop if warm is not None and warm.dop > 0 else None,
+        )
+        self.max_rounds = min(
+            owner.convergence.max_runs,
+            len(arms) * (owner.bandit_confidence + 2),
+        )
+        serial_time = result.response_time
+        self.records = [
+            RunRecord(0, serial_time, 0.0, 0.0, 0.0, False, 0, serial_time)
+        ]
+        self.gme_time: float | None = None
+        self.gme_run = 0
+        self.last_profile = result.profile
+        # Run 0 is arm dop=0's first pull (reward: speedup 1.0).
+        self.advisor.observe(self.advisor.nearest_arm(0), 1.0)
+        detail = f"bandit arms {list(arms)}"
+        if warm is not None:
+            detail += f", warm arm dop={warm.dop}"
+        self._decide(0, "serial", 0, detail)
+
+    def _next(self, run: int) -> Plan | None:
+        advisor = self.advisor
+        if advisor.total_pulls >= self.max_rounds or advisor.converged():
+            return None
+        index = advisor.select()
+        target = advisor.arms[index].dop
+        while len(self.mutations) < target and not self.exhausted:
+            if not self._mutate(run):
+                self.exhausted = True
+                break
+            self.rungs[len(self.mutations)] = self.working.copy()
+        depth = len(self.mutations)
+        if self.exhausted and depth == 0:
+            return None  # nothing in this plan can be parallelized
+        actual = min(target, depth)
+        self._pull = (index, actual)
+        self._decide(
+            run,
+            "bandit_arm",
+            actual,
+            f"arm dop={target}"
+            + (f" capped at {actual}" if actual < target else "")
+            + f", pull {advisor.arms[index].pulls + 1}",
+        )
+        return self.working if actual == depth else self.rungs[actual]
+
+    def _observe(self, result: ExecutionResult) -> None:
+        index, actual = self._pull
+        exec_time = result.response_time
+        serial_time = self.records[0].exec_time
+        if actual == len(self.mutations):
+            self.last_profile = result.profile
+        self.advisor.observe(index, serial_time / exec_time)
+        if self.gme_time is None or exec_time < self.gme_time:
+            self.gme_time, self.gme_run = exec_time, self.run
+            if exec_time < serial_time:
+                self.history.snapshot_best(self.rungs[actual], self.run)
+        prev = self.records[-1].exec_time
+        roi = (prev - exec_time) / max(exec_time, prev)
+        self.records.append(
+            RunRecord(
+                self.run, exec_time, roi, 0.0, 0.0, False, self.gme_run, self.gme_time
+            )
+        )
+
+    def result(self) -> AdaptiveResult:
+        gme_time = self.records[0].exec_time if self.gme_time is None else self.gme_time
+        result = self._result(gme_time, self.gme_run, self.records)
+        result.bandit_arms = self.advisor.summary()
+        return result

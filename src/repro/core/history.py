@@ -1,14 +1,14 @@
 """Plan history administration (paper Section 2, infrastructure b).
 
-Keeps the execution time of every adaptive run and snapshots of the
-interesting plans (the serial baseline and the current global-minimum
-plan) so the driver can answer "which plan should future invocations of
-this query use?".
+Keeps snapshots of the interesting plans -- the serial baseline and the
+current global-minimum plan -- so the driver can answer "which plan
+should future invocations of this query use?".  Per-run execution times
+live in the convergence records (:class:`~repro.core.convergence.RunRecord`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConvergenceError
 from ..plan.graph import Plan
@@ -16,17 +16,11 @@ from ..plan.graph import Plan
 
 @dataclass
 class PlanHistory:
-    """Execution times per run plus snapshots of notable plans."""
+    """Snapshots of the serial and GME plans."""
 
-    times: list[float] = field(default_factory=list)
     serial_plan: Plan | None = None
     best_plan: Plan | None = None
     best_run: int = 0
-
-    def record(self, exec_time: float) -> int:
-        """Append a run; returns its index."""
-        self.times.append(exec_time)
-        return len(self.times) - 1
 
     def snapshot_serial(self, plan: Plan) -> None:
         self.serial_plan = plan.copy()
@@ -34,10 +28,6 @@ class PlanHistory:
     def snapshot_best(self, plan: Plan, run: int) -> None:
         self.best_plan = plan.copy()
         self.best_run = run
-
-    @property
-    def runs(self) -> int:
-        return len(self.times)
 
     def choose(self) -> Plan:
         """The plan future invocations should use: the GME plan, falling

@@ -422,6 +422,14 @@ class PlanMutator:
     # Medium mutation (exchange union removal)
     # ------------------------------------------------------------------
     def _apply_medium(self, pack_node: PlanNode) -> MutationResult | None:
+        """Remove ``pack_node`` by cloning each consumer per pack input.
+
+        The result describes the pack by plan structure alone -- fan-in,
+        the partitions' order keys, and the consumers' kinds -- never by
+        node id: ids come from a process-wide counter, and the
+        description lands in canonical traces, which must not depend on
+        what ran earlier in the process.
+        """
         fanin = len(pack_node.inputs)
         if fanin > self.pack_fanin_limit:
             self.suppressed_packs.add(pack_node.nid)
@@ -438,6 +446,7 @@ class PlanMutator:
                 return None
             plans.append((consumer, actions))
         # All consumers can be rewritten: apply atomically.
+        keys = [child.order_key for child in pack_node.inputs]
         total_clones = 0
         for consumer, per_input in plans:
             clones = []
@@ -472,7 +481,8 @@ class PlanMutator:
             target_nid=pack_node.nid,
             target_kind="pack",
             description=(
-                f"medium: removed pack #{pack_node.nid} (fan-in {fanin}), "
+                f"medium: removed pack (fan-in {fanin}, order keys {keys}) "
+                f"under {', '.join(c.kind for c, __ in plans)}, "
                 f"cloned {len(plans)} consumer(s)"
             ),
             clones=total_clones,

@@ -21,15 +21,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ..config import SimulationConfig
-from ..engine.executor import execute
 from ..engine.scheduler import ExecutionResult
 from ..errors import ReproError
-from ..plan.graph import Plan
+from ..sql.lexer import statement_key
 from ..sql.planner import plan_sql
 from ..storage.catalog import Catalog
+from .adaptive import AdaptiveParallelizer, CreditDebitStep
 from .convergence import ConvergenceParams, ConvergenceTracker
-from .history import PlanHistory
-from .mutation import DEFAULT_PACK_FANIN_LIMIT, PlanMutator
+from .mutation import DEFAULT_PACK_FANIN_LIMIT
 
 
 class EntryState(Enum):
@@ -41,16 +40,17 @@ class EntryState(Enum):
 
 @dataclass
 class CacheEntry:
-    """Per-query-template adaptation state."""
+    """Per-query-template adaptation state: one step of the adaptive loop."""
 
     sql: str
-    plan: Plan
-    mutator: PlanMutator
-    tracker: ConvergenceTracker
-    history: PlanHistory
+    step: CreditDebitStep
     state: EntryState = EntryState.ADAPTING
     invocations: int = 0
-    _last_profile: object = None
+
+    @property
+    def tracker(self) -> ConvergenceTracker:
+        """The template's convergence tracker (read-only view)."""
+        return self.step.tracker
 
     @property
     def best_time(self) -> float:
@@ -67,7 +67,16 @@ class CacheEntry:
 
 
 class AdaptiveSession:
-    """Executes SQL, adapting each cached template across invocations."""
+    """Executes SQL, adapting each cached template across invocations.
+
+    Templates are keyed by :func:`~repro.sql.lexer.statement_key`:
+    whitespace and keyword/identifier case do not split a template,
+    string literals do.  Each template steps one
+    :class:`~repro.core.adaptive.CreditDebitStep`, the loop of
+    :meth:`AdaptiveParallelizer.optimize`, by one run per invocation,
+    through the runner of an internal unmemoized parallelizer:
+    invocation ``k`` executes with seed ``config.seed + k``.
+    """
 
     def __init__(
         self,
@@ -79,23 +88,18 @@ class AdaptiveSession:
     ) -> None:
         self.catalog = catalog
         self.config = config if config is not None else SimulationConfig()
-        if convergence is None:
-            convergence = ConvergenceParams(
-                number_of_cores=self.config.effective_threads
-            )
-        self.convergence = convergence
-        self.pack_fanin_limit = pack_fanin_limit
+        self._parallelizer = AdaptiveParallelizer(
+            self.config,
+            convergence=convergence,
+            pack_fanin_limit=pack_fanin_limit,
+            memoize=False,
+        )
         self._cache: dict[str, CacheEntry] = {}
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _template_key(sql: str) -> str:
-        return " ".join(sql.split()).lower()
-
     def entry_for(self, sql: str) -> CacheEntry:
-        key = self._template_key(sql)
         try:
-            return self._cache[key]
+            return self._cache[statement_key(sql)]
         except KeyError:
             raise ReproError(f"query has never been executed: {sql!r}") from None
 
@@ -106,61 +110,28 @@ class AdaptiveSession:
     def execute(self, sql: str) -> ExecutionResult:
         """Run one invocation of ``sql`` (compiling and caching if new).
 
-        While the entry is adapting, each invocation runs the current
-        morphed plan and feeds the profile back into the mutator; once
-        converged, the stored global-minimum plan is executed directly.
+        While the entry is adapting, each invocation runs the step's
+        next plan and feeds the result back into it; once converged, the
+        stored global-minimum plan is executed directly.
         """
-        key = self._template_key(sql)
+        key = statement_key(sql)
         entry = self._cache.get(key)
         if entry is None:
-            entry = self._admit(key, sql)
+            step = CreditDebitStep(self._parallelizer, plan_sql(sql, self.catalog))
+            entry = self._cache[key] = CacheEntry(sql, step)
         entry.invocations += 1
-        if entry.state is EntryState.CONVERGED:
-            return self._run(entry.history.choose(), entry)
-        return self._adaptive_step(entry)
-
-    def _admit(self, key: str, sql: str) -> CacheEntry:
-        plan = plan_sql(sql, self.catalog)
-        entry = CacheEntry(
-            sql=sql,
-            plan=plan,
-            mutator=PlanMutator(plan, pack_fanin_limit=self.pack_fanin_limit),
-            tracker=ConvergenceTracker(self.convergence),
-            history=PlanHistory(),
-        )
-        entry.history.snapshot_serial(plan)
-        self._cache[key] = entry
-        return entry
-
-    def _run(self, plan: Plan, entry: CacheEntry) -> ExecutionResult:
-        config = self.config.with_seed(self.config.seed + entry.invocations)
-        return execute(plan, config)
-
-    def _adaptive_step(self, entry: CacheEntry) -> ExecutionResult:
-        run_index = entry.tracker.runs  # 0 on the first invocation
-        if run_index > 0:
-            mutation = entry.mutator.mutate(entry._last_profile)
-            if mutation is None:
-                self._converge(entry)
-                return self._run(entry.history.choose(), entry)
-        result = self._run(entry.plan, entry)
-        record = entry.tracker.observe(result.response_time)
-        entry.history.record(result.response_time)
-        if (
-            run_index > 0
-            and record.gme_run == run_index
-            and record.gme_time < entry.tracker.serial_time
-        ):
-            entry.history.snapshot_best(entry.plan, run_index)
-        entry._last_profile = result.profile
-        if not entry.tracker.should_continue():
-            self._converge(entry)
-        return result
-
-    def _converge(self, entry: CacheEntry) -> None:
-        entry.state = EntryState.CONVERGED
-        if entry.history.best_plan is None:
-            entry.history.snapshot_best(entry.history.serial_plan, 0)
+        run = self._parallelizer.runner
+        step = entry.step
+        if entry.state is EntryState.ADAPTING:
+            plan = step.next_plan()
+            if plan is not None:
+                result = run(plan, entry.invocations)
+                step.observe(result)
+                if not step.tracker.should_continue():
+                    entry.state = EntryState.CONVERGED
+                return result
+            entry.state = EntryState.CONVERGED
+        return run(step.history.choose(), entry.invocations)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, str]:

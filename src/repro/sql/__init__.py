@@ -1,7 +1,7 @@
 """Mini SQL front-end: lexer, parser, and serial-plan compiler."""
 
 from .ast import SelectStatement
-from .lexer import Token, tokenize
+from .lexer import Token, statement_key, tokenize
 from .parser import parse
 from .planner import PlanCache, SqlPlanner, plan_sql
 
@@ -12,5 +12,6 @@ __all__ = [
     "Token",
     "parse",
     "plan_sql",
+    "statement_key",
     "tokenize",
 ]

@@ -98,3 +98,18 @@ def tokenize(text: str) -> list[Token]:
         raise SqlLexError(f"unexpected character {ch!r} at offset {i}")
     tokens.append(Token("EOF", "", n))
     return tokens
+
+
+def statement_key(text: str) -> str:
+    """The cache key of a statement: equal exactly when the tokens are.
+
+    The lexer upper-cases keywords, lower-cases identifiers and drops
+    whitespace between tokens, so ``select  x`` and ``SELECT x`` share a
+    key; string literals keep their exact contents, so ``'MED BOX'``,
+    ``'MED  BOX'`` and ``'med box'`` are three different statements.
+    Raises :class:`SqlLexError` on text the lexer rejects.
+    """
+    return " ".join(
+        f"'{token.value}'" if token.type == "STRING" else token.value
+        for token in tokenize(text)[:-1]
+    )

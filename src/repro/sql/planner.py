@@ -63,6 +63,7 @@ from .ast import (
     Or,
     SelectStatement,
 )
+from .lexer import statement_key
 from .parser import parse
 
 
@@ -77,10 +78,13 @@ class PlanCache:
     A SQL service sees the same statement texts over and over (every
     loadgen tenant hammers a small mix); parsing and planning them anew
     per request is pure waste.  The cache memoizes the *serial plan
-    template* per normalized statement text.  :meth:`template` hands out
-    the shared template itself, which is what execution wants: the
-    simulator never mutates a submitted plan, so concurrent submissions
-    of one statement share it -- exactly the template discipline
+    template* per :func:`~repro.sql.lexer.statement_key`: statements
+    that differ only in whitespace between tokens or in the case of
+    keywords and identifiers share an entry, while string literals are
+    compared verbatim.  :meth:`template` hands out the shared template
+    itself, which is what execution wants: the simulator never mutates a
+    submitted plan, so concurrent submissions of one statement share it
+    -- exactly the template discipline
     :class:`~repro.concurrency.client.ClientSpec` uses.  :meth:`plan`
     returns a private :meth:`~repro.plan.graph.Plan.copy` for callers
     that mean to mutate it (an adaptive optimization, say).
@@ -99,13 +103,6 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def _key(text: str) -> str:
-        # Whitespace-insensitive keying catches the common client-side
-        # variation (trailing newlines, indentation) without attempting
-        # real statement canonicalization.
-        return " ".join(text.split())
-
     def plan(self, text: str) -> Plan:
         """A fresh, mutable copy of the (possibly cached) plan for ``text``."""
         return self.template(text).copy()
@@ -113,7 +110,7 @@ class PlanCache:
     def template(self, text: str) -> Plan:
         """The shared cached template itself (callers must not mutate it;
         submitting it to a simulator is fine)."""
-        key = self._key(text)
+        key = statement_key(text)
         cached = self._plans.get(key)
         if cached is not None:
             self.hits += 1

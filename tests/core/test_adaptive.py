@@ -217,12 +217,6 @@ class TestPlanHistory:
         with pytest.raises(ConvergenceError):
             PlanHistory().choose()
 
-    def test_record_returns_index(self):
-        history = PlanHistory()
-        assert history.record(1.0) == 0
-        assert history.record(0.5) == 1
-        assert history.runs == 2
-
 
 class TestAgainstHeuristic:
     def test_ap_time_in_hp_ballpark(self, catalog, config):

@@ -9,7 +9,7 @@ from repro.config import SimulationConfig, laptop_machine
 from repro.core import ConvergenceParams
 from repro.core.session import AdaptiveSession, EntryState
 from repro.errors import ReproError
-from repro.storage import Catalog, LNG, Table
+from repro.storage import Catalog, LNG, STR, Table
 
 
 @pytest.fixture()
@@ -53,6 +53,20 @@ class TestAdaptiveSession:
         session.execute("select  SUM(x)\n FROM t  WHERE y < 50")
         assert session.entry_for(SQL).invocations == 2
         assert len(session.cached_queries()) == 1
+
+    @pytest.mark.parametrize(
+        "cached, other",
+        [("Brand#23", "BRAND#23"), ("MED BOX", "MED  BOX")],
+    )
+    def test_template_key_keeps_string_literals_verbatim(self, cached, other):
+        catalog = Catalog()
+        values = [cached] * 6 + ["Brand#12"] * 4
+        catalog.add(Table.from_arrays("part", {"p_brand": (STR, values)}))
+        session = AdaptiveSession(catalog, SimulationConfig())
+        sql = "SELECT COUNT(*) FROM part WHERE p_brand = '{}'"
+        assert session.execute(sql.format(cached)).outputs[0].value == 6
+        assert session.execute(sql.format(other)).outputs[0].value == 0
+        assert len(session.cached_queries()) == 2
 
     def test_results_identical_across_invocations(self, session):
         values = {session.execute(SQL).outputs[0].value for __ in range(12)}

@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.chaos import CHAOS_LIGHT
 from repro.concurrency import ClientSpec, ResilienceConfig, ResilientWorkload
+from repro.config import SimulationConfig, laptop_machine
+from repro.core import AdaptiveParallelizer, ConvergenceParams
 from repro.observe import Observer
+from repro.operators import RangePredicate
+from repro.plan import PlanBuilder
+from repro.storage import LNG, Catalog, Table
 from repro.workloads import JoinMicroWorkload
 
 from tests.observe.conftest import observe_join_adaptive
@@ -56,6 +62,40 @@ def test_adaptive_identical_across_repeats():
         observe_join_adaptive().canonical_json()
         == observe_join_adaptive().canonical_json()
     )
+
+
+def test_medium_mutations_identical_across_repeats():
+    """Medium mutations describe their pack by structure, not node id.
+
+    Node ids come from a process-wide counter, so a description carrying
+    one made the second of two identical instances trace differently.
+    """
+
+    def traced() -> str:
+        rng = np.random.default_rng(1234)
+        catalog = Catalog()
+        catalog.add(
+            Table.from_arrays(
+                "t",
+                {
+                    "a": (LNG, rng.integers(0, 1_000, 20_000)),
+                    "b": (LNG, rng.integers(0, 100, 20_000)),
+                },
+            )
+        )
+        b = PlanBuilder(catalog)
+        sel = b.select(b.scan("t", "a"), RangePredicate(hi=500))
+        plan = b.build(b.aggregate("sum", b.fetch(sel, b.scan("t", "b"))))
+        observer = Observer()
+        result = AdaptiveParallelizer(
+            SimulationConfig(machine=laptop_machine(8), data_scale=1000.0),
+            convergence=ConvergenceParams(number_of_cores=8, max_runs=4),
+            observe=observer,
+        ).optimize(plan)
+        assert any(m.scheme == "medium" for m in result.mutations)
+        return observer.canonical_json()
+
+    assert traced() == traced()
 
 
 def test_memoization_changes_bookkeeping_not_simulation():

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import ServeError, SqlPlanError
 from repro.serve import ServeEngine, render_outputs
 from repro.serve.engine import _Job  # noqa: F401  (existence check)
-from repro.storage import BAT, LNG, Candidates, Scalar
+from repro.storage import BAT, LNG, STR, Candidates, Catalog, Scalar, Table
 import numpy as np
 
 from tests.serve.conftest import COUNT_SQL, GROUP_SQL, SUM_SQL
@@ -54,6 +54,28 @@ class TestExecution:
         for _ in range(3):
             engine.submit_sql(COUNT_SQL).result(timeout=30)
         assert engine.plans.hits >= 2
+
+    def test_plan_cache_keeps_string_literals_verbatim(self, serve_config):
+        catalog = Catalog()
+        values = ["MED BOX"] * 10 + ["LG CASE"] * 5
+        catalog.add(Table.from_arrays("part", {"p_container": (STR, values)}))
+        eng = ServeEngine(serve_config, catalog).start()
+        try:
+
+            def count(sql):
+                payload = eng.submit_sql(sql).result(timeout=30)
+                return payload["rows"][0]["value"]
+
+            sql = "SELECT COUNT(*) FROM part WHERE p_container = '{}'"
+            assert count(sql.format("MED BOX")) == 10
+            assert count(sql.format("MED  BOX")) == 0
+            assert count(sql.format("med box")) == 0
+            # Whitespace between tokens and keyword case still share.
+            spaced = "select count(*)\n FROM part\n WHERE p_container = 'MED BOX'"
+            assert count(spaced) == 10
+            assert eng.plans.hits == 1
+        finally:
+            eng.close()
 
 
 class TestCanonical:
