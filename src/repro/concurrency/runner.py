@@ -162,11 +162,17 @@ class ConcurrentWorkload:
         contention.
         """
         simulator, states = self._start()
-        # Advance the shared machine to the probe's submit time.
-        self._run_until(simulator, warmup)
-        sid = simulator.submit(plan, client="probe", max_threads=max_threads)
+        # The event loop never steps past a timer's deadline, so the
+        # probe goes in at exactly ``warmup``.
+        probe: list[int] = []
+        simulator.schedule_at(
+            warmup,
+            lambda: probe.append(
+                simulator.submit(plan, client="probe", max_threads=max_threads)
+            ),
+        )
         simulator.run()
-        return simulator.result(sid)
+        return simulator.result(probe[0])
 
     # ------------------------------------------------------------------
     def _start(self) -> tuple[Simulator, list[ClientState]]:
@@ -198,19 +204,6 @@ class ConcurrentWorkload:
         for state in states:
             resubmit(state)
         return simulator, states
-
-    def _run_until(self, simulator: Simulator, when: float) -> None:
-        # The simulator has no external pause API; emulate one by
-        # submitting a sentinel plan at time 0 whose single no-op we do
-        # not need -- instead simply run the event loop until the global
-        # clock passes ``when`` by stepping dispatch/advance manually.
-        while simulator.now < when and simulator._tasks or simulator.now == 0.0:
-            simulator._dispatch()
-            if not simulator._tasks:
-                break
-            simulator._advance()
-            if simulator.now >= when:
-                break
 
     def _report(self, states: list[ClientState]) -> WorkloadReport:
         report = WorkloadReport(

@@ -82,6 +82,18 @@ class TestConcurrentWorkload:
         loaded = workload.measure_plan(plan)
         assert loaded.response_time > solo
 
+    def test_measure_plan_submits_the_probe_after_warmup(self, catalog, config):
+        # Regression: the probe used to go in at the first idle instant
+        # of the event loop (~0.1 ms), not after ``warmup`` seconds.
+        plan = HeuristicParallelizer(8).parallelize(make_plan(catalog))
+        workload = ConcurrentWorkload(
+            config,
+            [ClientSpec(name=f"c{i}", plans=[plan]) for i in range(8)],
+            horizon=5.0,
+        )
+        probe = workload.measure_plan(plan, warmup=0.5)
+        assert probe.profile.submit_time == pytest.approx(0.5)
+
     def test_max_queries_limit(self, catalog, config):
         plan = make_plan(catalog)
         workload = ConcurrentWorkload(
