@@ -1,14 +1,23 @@
 """Concurrent workload simulation: closed-loop clients on one machine."""
 
-from .client import ClientSpec, ClientState
-from .runner import ConcurrentWorkload, WorkloadReport
-from .service import ResilienceConfig, ResilientWorkload
+from .client import ClientSpec
+from .service import (
+    ConcurrentWorkload,
+    FifoAdmission,
+    Lane,
+    ResilienceConfig,
+    ResilientWorkload,
+    WorkloadReport,
+    run_closed_loop,
+)
 
 __all__ = [
     "ClientSpec",
-    "ClientState",
     "ConcurrentWorkload",
+    "FifoAdmission",
+    "Lane",
     "ResilienceConfig",
     "ResilientWorkload",
     "WorkloadReport",
+    "run_closed_loop",
 ]

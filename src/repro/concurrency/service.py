@@ -1,36 +1,37 @@
-"""Resilient concurrent workload service: chaos-tolerant closed loops.
+"""Closed-loop client services on one shared simulated machine.
 
-The plain :class:`~repro.concurrency.runner.ConcurrentWorkload` assumes
-every submission succeeds.  Under the chaos harness
-(:mod:`repro.chaos`), operators crash, straggle, and clients disconnect
--- the paper's concurrent experiments (Figures 1, 16) and convergence
-robustness claim (Figure 18) are only credible if the workload layer
-survives all of that.  :class:`ResilientWorkload` adds the service
-disciplines a production front-end would have:
+The paper's concurrent experiments (Figures 1 and 16) run 32 clients
+re-issuing random TPC-H queries in a closed loop, saturating the box;
+contention between clients is emergent from the shared scheduler.
+:func:`run_closed_loop` is that loop, for every simulated-time front
+end: :class:`ResilientWorkload` (FIFO admission, chaos, disconnects),
+:class:`ConcurrentWorkload` (the plain loop, and the runner adaptive
+parallelization observes contention with) and
+:class:`~repro.serve.service.TenantLoadService` (think times and
+weighted-fair admission).  The loop has the service disciplines a
+production front end has:
 
-* **per-submission timeout** -- a client gives up on a query after
-  ``timeout`` simulated seconds; the in-flight work still drains (the
-  simulator has no preemptive cancel, like most real engines), but the
-  late response is discarded and the query retried,
+* **per-submission timeout** -- the client gives up on an attempt; the
+  work still drains (the simulator has no preemptive cancel, like most
+  real engines), but the late response is discarded,
 * **bounded retry with exponential backoff** -- failed or timed-out
-  queries are re-submitted after ``backoff_base * backoff_factor**k``
+  queries re-enter admission after ``backoff_base * backoff_factor**k``
   simulated seconds, at most ``max_retries`` times,
-* **graceful degradation** -- each retry sheds DOP (halves the
-  submission's hardware-thread cap) so a struggling query stops
-  amplifying the overload that is likely killing it,
-* **admission control / backpressure** -- at most ``max_in_flight``
-  submissions run concurrently; excess queries wait in a FIFO admission
-  queue, which also guarantees no client starves.
+* **graceful degradation** -- each retry halves the submission's
+  thread cap, so a struggling query stops amplifying the overload,
+* **admission control** -- excess queries wait in the admission queue,
+  or are rejected when it is full.
 
-Everything above runs in *simulated* time on the simulator's main
-thread, so a fixed seed gives bit-identical traces, fault schedules,
-and :class:`~repro.concurrency.runner.WorkloadReport`s at any host
-``workers`` count.
+Everything runs in *simulated* time on the simulator's main thread, in
+event order, so a fixed seed gives bit-identical traces, fault
+schedules and reports at any host ``workers`` count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,11 +39,11 @@ from ..chaos.faults import FaultPlan
 from ..chaos.injector import FaultInjector
 from ..config import SimulationConfig
 from ..engine.evalpool import EvalPool
-from ..engine.scheduler import Simulator
+from ..engine.scheduler import ExecutionResult, Simulator
 from ..errors import InjectedFaultError, ReproError
 from ..observe import Observer
-from .client import ClientSpec, ClientState
-from .runner import WorkloadReport
+from ..plan.graph import Plan
+from .client import ClientSpec
 
 
 @dataclass(frozen=True)
@@ -86,70 +87,393 @@ class ResilienceConfig:
         """Delay before retry number ``retry_index`` (0-based)."""
         return self.backoff_base * self.backoff_factor**retry_index
 
-    def shed_threads(
-        self, current: int | None, effective: int
-    ) -> int | None:
-        """The halved thread cap of a retried submission, or ``None``.
 
-        ``None`` means no shedding happens: the policy is disabled or
-        the cap is already at the floor of one thread.  ``current`` is
-        the submission's present cap (``None`` = the machine default,
-        ``effective``).  Shared by :class:`ResilientWorkload` and the
-        multi-tenant serve layer so both degrade identically.
+@dataclass
+class WorkloadReport:
+    """Per-client response-time and resilience statistics of one run."""
+
+    horizon: float
+    by_client: dict[str, list[float]] = field(default_factory=dict)
+    #: Simulated time of the last completed query (0.0 when none
+    #: completed).  Runs that end early -- every client exhausted its
+    #: ``max_queries`` budget -- stop well before ``horizon``, so rates
+    #: are computed over this span, not the configured horizon.
+    last_completion: float = 0.0
+    #: Resilience counters, summed over clients.
+    retries: int = 0
+    timeouts: int = 0
+    disconnects: int = 0
+    shed_dop: int = 0
+    abandoned: int = 0
+    faults_injected: int = 0
+    admission_waits: int = 0
+    peak_in_flight: int = 0
+    peak_queue_depth: int = 0
+    #: The injected fault schedule, as plain tuples (see
+    #: :meth:`repro.chaos.faults.FaultEvent.as_tuple`) -- part of the
+    #: bit-reproducibility surface.
+    fault_schedule: tuple = ()
+
+    def completed(self, client: str | None = None) -> int:
+        """Queries completed, for one client or in total."""
+        if client is not None:
+            return len(self.by_client.get(client, []))
+        return sum(len(v) for v in self.by_client.values())
+
+    def mean_response(self, client: str) -> float:
+        """Mean response time of one client's completed queries."""
+        times = self.by_client.get(client)
+        if not times:
+            raise ReproError(f"client {client!r} completed no queries")
+        return float(np.mean(times))
+
+    def response_percentile(self, q: float) -> float:
+        """The q-th percentile (0-100) response time over all clients."""
+        times = [t for values in self.by_client.values() for t in values]
+        if not times:
+            raise ReproError("no queries completed")
+        return float(np.percentile(times, q))
+
+    @property
+    def p50_response(self) -> float:
+        """Median response time over all clients."""
+        return self.response_percentile(50.0)
+
+    @property
+    def p99_response(self) -> float:
+        """99th-percentile response time over all clients."""
+        return self.response_percentile(99.0)
+
+    @property
+    def elapsed(self) -> float:
+        """The span rates are computed over.
+
+        The actual last-completion time when the run produced any
+        completions (a ``max_queries``-bounded run can end long before
+        the horizon); the configured horizon otherwise.
         """
-        if not self.shed_dop:
-            return None
-        cap = current if current is not None else effective
-        shed = max(1, cap // 2)
-        return shed if shed < cap else None
+        if self.last_completion > 0.0:
+            return self.last_completion
+        return self.horizon
+
+    def throughput(self) -> float:
+        """Completed queries per simulated second, across all clients."""
+        span = self.elapsed
+        if span <= 0:
+            return 0.0
+        return self.completed() / span
+
+    def as_dict(self) -> dict:
+        """A plain-data projection, the bit-reproducibility surface.
+
+        Two runs with the same seed must produce *equal* dictionaries
+        (including every individual response time), at any host worker
+        count -- the chaos property tests compare exactly this.
+        """
+        return {
+            "horizon": self.horizon,
+            "by_client": {k: list(v) for k, v in sorted(self.by_client.items())},
+            "last_completion": self.last_completion,
+            "retries": self.retries,
+            "timeouts": self.timeouts,
+            "disconnects": self.disconnects,
+            "shed_dop": self.shed_dop,
+            "abandoned": self.abandoned,
+            "faults_injected": self.faults_injected,
+            "admission_waits": self.admission_waits,
+            "peak_in_flight": self.peak_in_flight,
+            "peak_queue_depth": self.peak_queue_depth,
+            "fault_schedule": tuple(self.fault_schedule),
+        }
 
 
+@dataclass(eq=False)
+class Lane:
+    """One population of closed-loop clients, and its tally.
+
+    Every client of a lane draws its queries from the lane's plan mix
+    and follows the lane's limits; the counters are what the front ends
+    build their reports from.
+    """
+
+    name: str
+    #: Plan templates, drawn uniformly per query (the simulator only
+    #: reads a plan, so every submission shares the template).
+    plans: Sequence[Plan]
+    clients: int = 1
+    #: Mean of the seeded exponential think time between one client's
+    #: queries, simulated seconds; 0 re-issues at once.
+    think_mean: float = 0.0
+    max_threads: int | None = None
+    #: Stop issuing after this many queries (None = until the horizon).
+    max_queries: int | None = None
+    timeout: float | None = None
+    max_retries: int = 3
+    issued: int = 0
+    rejected: int = 0
+    completed: int = 0
+    retries: int = 0
+    timeouts: int = 0
+    abandoned: int = 0
+    admission_waits: int = 0
+    disconnects: int = 0
+    shed_dop: int = 0
+    #: Client-perceived response times, simulated seconds, completion
+    #: order (every retry and backoff wait included).
+    response_times: list[float] = field(default_factory=list)
+
+
+class FifoAdmission:
+    """First-come admission under one in-flight cap.
+
+    The :class:`~repro.serve.scheduler.FairScheduler` interface over a
+    single unbounded queue, so no offer is rejected and no client
+    starves.  The peak queue depth is taken after :meth:`pump`: only
+    queries that really wait count.
+    """
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self.queue: deque[tuple[str, Any]] = deque()
+        self.in_flight = 0
+        self.peak_in_flight = 0
+        self.peak_queue_depth = 0
+
+    def offer(self, tenant: str, item: Any) -> bool:
+        self.queue.append((tenant, item))
+        return True
+
+    def pump(self) -> list[tuple[str, Any]]:
+        admitted = []
+        while self.queue and self.in_flight < self.cap:
+            admitted.append(self.queue.popleft())
+            self.in_flight += 1
+        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+        self.peak_queue_depth = max(self.peak_queue_depth, len(self.queue))
+        return admitted
+
+    def release(self, tenant: str) -> None:
+        self.in_flight -= 1
+
+    def queued_depth(self, tenant: str) -> int:
+        return len(self.queue)
+
+
+@dataclass(slots=True, eq=False)
 class _Query:
     """One client query's journey through the service, across retries."""
 
-    __slots__ = ("state", "template", "t0", "tries", "max_threads")
-
-    def __init__(
-        self, state: ClientState, template, t0: float, max_threads: int | None
-    ) -> None:
-        self.state = state
-        #: The drawn plan template; every (re-)submission executes it.
-        self.template = template
-        #: First-issue time: response times are client-perceived, so
-        #: they include every retry and backoff wait.
-        self.t0 = t0
-        #: Retries consumed so far.
-        self.tries = 0
-        #: Thread cap of the *next* submission (shed on retries).
-        self.max_threads = max_threads
+    lane: Lane
+    client: int
+    plan: Plan
+    #: First-issue time: response times are client-perceived, so they
+    #: include every retry and backoff wait.
+    t0: float
+    #: Thread cap of the *next* submission (shed on retries).
+    max_threads: int | None
+    #: Retries consumed so far.
+    tries: int = 0
+    #: Set once admission hands the query to the machine.
+    submitted: bool = False
 
 
-class _Try:
+@dataclass(slots=True, eq=False)
+class _Attempt:
     """One submission attempt of a :class:`_Query`.
 
     A timed-out attempt keeps draining inside the simulator while its
-    retry is already running; the two must not share verdict flags,
-    which is why these live per-attempt, not per-query.
+    retry is already running, so the verdict lives per attempt: the
+    first of completion, failure and timeout decides, and the others
+    find ``decided`` set and drop out.
     """
 
-    __slots__ = ("query", "timed_out", "disconnected", "settled")
+    query: _Query
+    disconnected: bool
+    decided: bool = False
 
-    def __init__(self, query: _Query, disconnected: bool) -> None:
-        self.query = query
-        self.timed_out = False
-        self.disconnected = disconnected
-        #: True once this attempt reached a verdict (completed or
-        #: failed) -- guards the timeout timer.
-        self.settled = False
+
+def _ignore(kind: str, lane: Lane, **attrs) -> None:
+    """The default ``note`` hook: record nothing."""
+
+
+def run_closed_loop(
+    simulator: Simulator,
+    arrivals: Iterable[tuple[float, Lane, int]],
+    *,
+    admission,
+    rng: np.random.Generator,
+    horizon: float,
+    resilience: ResilienceConfig,
+    disconnects: FaultInjector | None = None,
+    note: Callable[..., None] = _ignore,
+) -> float:
+    """Run closed-loop clients on ``simulator`` until every query settles.
+
+    ``arrivals`` holds each client's first issue, ``(when, lane,
+    client)``.  An issue inside the horizon draws a plan from the lane's
+    mix and offers the query to ``admission`` (:class:`FifoAdmission`
+    or a :class:`~repro.serve.scheduler.FairScheduler`); after the
+    verdict the client issues again, at once or after a think time
+    drawn from ``rng``.  ``disconnects`` (an injector) decides per
+    submission whether the client drops the response and reconnects.
+    ``note(kind, lane, **attrs)`` hears every decision: ``issue``,
+    ``reject``, ``admission_wait``, ``retry``, ``shed_dop``,
+    ``timeout``, ``abandon``, ``disconnect`` and ``complete``.
+    Returns the simulated time of the last completion (0.0 if none).
+    """
+    effective = simulator.config.effective_threads
+    last_completion = 0.0
+
+    def submit(query: _Query) -> None:
+        lane = query.lane
+        query.submitted = True
+        disconnected = disconnects is not None and disconnects.draw_disconnect(
+            sid=-1, client=lane.name, now=simulator.now
+        )
+        attempt = _Attempt(query, disconnected)
+        simulator.submit(
+            query.plan,
+            client=lane.name,
+            max_threads=query.max_threads,
+            on_complete=lambda _sid: on_complete(attempt),
+            on_failure=lambda _sid, error: on_failure(attempt, error),
+        )
+        if lane.timeout is not None:
+            simulator.schedule_at(
+                simulator.now + lane.timeout, lambda: on_timeout(attempt)
+            )
+
+    def pump() -> None:
+        for _tenant, query in admission.pump():
+            submit(query)
+
+    def offer(query: _Query) -> bool:
+        lane = query.lane
+        query.submitted = False
+        if not admission.offer(lane.name, query):
+            return False
+        pump()
+        if not query.submitted:
+            lane.admission_waits += 1
+            note("admission_wait", lane, depth=admission.queued_depth(lane.name))
+        return True
+
+    def issue(lane: Lane, client: int) -> None:
+        if simulator.now >= horizon or (
+            lane.max_queries is not None and lane.issued >= lane.max_queries
+        ):
+            return
+        lane.issued += 1
+        note("issue", lane)
+        plan = lane.plans[int(rng.integers(0, len(lane.plans)))]
+        if not offer(_Query(lane, client, plan, simulator.now, lane.max_threads)):
+            lane.rejected += 1
+            note("reject", lane)
+            next_issue(lane, client)
+
+    def next_issue(lane: Lane, client: int) -> None:
+        if lane.think_mean == 0:
+            issue(lane, client)
+            return
+        when = simulator.now + float(rng.exponential(lane.think_mean))
+        if when < horizon:
+            simulator.schedule_at(when, lambda: issue(lane, client))
+
+    def retry_or_abandon(query: _Query) -> None:
+        lane = query.lane
+        if query.tries >= lane.max_retries:
+            abandon(query)
+            return
+        lane.retries += 1
+        backoff = resilience.backoff(query.tries)
+        query.tries += 1
+        note("retry", lane, attempt=query.tries)
+        cap = query.max_threads if query.max_threads is not None else effective
+        if resilience.shed_dop and cap > 1:
+            query.max_threads = cap // 2
+            lane.shed_dop += 1
+            note("shed_dop", lane, threads=cap // 2)
+
+        def readmit() -> None:
+            if not offer(query):
+                abandon(query)  # the retry found the queue full
+
+        simulator.schedule_at(simulator.now + backoff, readmit)
+
+    def abandon(query: _Query) -> None:
+        query.lane.abandoned += 1
+        note("abandon", query.lane)
+        next_issue(query.lane, query.client)
+
+    def on_complete(attempt: _Attempt) -> None:
+        nonlocal last_completion
+        query = attempt.query
+        lane = query.lane
+        admission.release(lane.name)
+        pump()
+        if attempt.decided:
+            # The client already gave up on this attempt; the late
+            # result is discarded (the timeout path moved on).
+            return
+        attempt.decided = True
+        if attempt.disconnected:
+            lane.disconnects += 1
+            note("disconnect", lane)
+            simulator.schedule_at(
+                simulator.now + resilience.reconnect_delay,
+                lambda: issue(lane, query.client),
+            )
+            return
+        lane.completed += 1
+        elapsed = simulator.now - query.t0
+        lane.response_times.append(elapsed)
+        last_completion = max(last_completion, simulator.now)
+        note("complete", lane, seconds=elapsed)
+        next_issue(lane, query.client)
+
+    def on_failure(attempt: _Attempt, error: Exception) -> None:
+        admission.release(attempt.query.lane.name)
+        pump()
+        if not isinstance(error, InjectedFaultError):
+            # A genuine engine bug must never be retried into silence
+            # -- propagate out of Simulator.run().
+            raise error
+        if attempt.decided:
+            return  # the timeout path already decided what happens
+        attempt.decided = True
+        retry_or_abandon(attempt.query)
+
+    def on_timeout(attempt: _Attempt) -> None:
+        if attempt.decided:
+            return  # completed/failed before the deadline
+        attempt.decided = True
+        lane = attempt.query.lane
+        lane.timeouts += 1
+        note("timeout", lane)
+        retry_or_abandon(attempt.query)
+
+    for when, lane, client in arrivals:
+        simulator.schedule_at(
+            when, lambda _lane=lane, _client=client: issue(_lane, _client)
+        )
+    simulator.run()
+    return last_completion
+
+
+#: The loop decisions :class:`ResilientWorkload` traces as ``service``
+#: events and counts as ``repro_service_<kind>_total``.
+SERVICE_EVENTS = frozenset(
+    ("admission_wait", "retry", "shed_dop", "abandon", "disconnect", "timeout")
+)
 
 
 class ResilientWorkload:
     """Closed-loop multi-client workload that survives injected chaos.
 
-    The same shape as :class:`ConcurrentWorkload` -- every client
-    re-issues immediately after each completion until the horizon --
-    plus the resilience disciplines of :class:`ResilienceConfig` and
-    optional fault injection.
+    Set-up and report around :func:`run_closed_loop`: one lane per
+    client, re-issuing at once after each verdict until the horizon,
+    under the disciplines of :class:`ResilienceConfig`, FIFO admission
+    and optional fault injection and client disconnects.
     """
 
     def __init__(
@@ -185,6 +509,10 @@ class ResilientWorkload:
         # is bit-identical at any host ``workers`` count.
         self.observe = observe
 
+    def _client_seed(self) -> int:
+        """Seed of the clients' plan-draw RNG."""
+        return self.config.derive_seed("service.clients")
+
     # ------------------------------------------------------------------
     def run(self) -> WorkloadReport:
         """Run the workload to completion and report.
@@ -195,6 +523,10 @@ class ResilientWorkload:
         polling.  Repeated calls are independent and identical: the
         fault injector is re-spawned fresh each time.
         """
+        return self._run(lambda simulator: None)
+
+    def _run(self, prepare: Callable[[Simulator], None]) -> WorkloadReport:
+        """Run with ``prepare(simulator)`` called before the first event."""
         injector = self.faults.spawn() if self.faults is not None else None
         res = self.resilience
         pool = (
@@ -207,169 +539,64 @@ class ResilientWorkload:
         simulator = Simulator(
             self.config, evalpool=pool, faults=injector, observe=obs
         )
-        rng = np.random.default_rng(self.config.derive_seed("service.clients"))
+        prepare(simulator)
 
-        def note(name: str, **attrs) -> None:
+        def note(kind: str, lane: Lane, **attrs) -> None:
             """One service-level decision as an instant event + counter."""
-            if obs is None:
+            if obs is None or kind not in SERVICE_EVENTS:
                 return
-            obs.tracer.event(name, "service", simulator.now, **attrs)
+            obs.tracer.event(kind, "service", simulator.now, client=lane.name, **attrs)
             obs.metrics.counter(
-                f"repro_service_{name}_total",
-                f"service-level {name} decisions",
+                f"repro_service_{kind}_total",
+                f"service-level {kind} decisions",
             ).inc()
 
-        states = [ClientState(spec) for spec in self.clients]
-        cap = res.max_in_flight
-        if cap is None:
-            cap = 2 * self.config.machine.hardware_threads
-
-        report = WorkloadReport(horizon=self.horizon)
-        in_flight = 0
-        admission_queue: list[_Query] = []
-
-        # ---- service mechanics, innermost first -----------------------
-        def submit(query: _Query) -> None:
-            nonlocal in_flight
-            in_flight += 1
-            if in_flight > report.peak_in_flight:
-                report.peak_in_flight = in_flight
-            disconnected = False
-            if injector is not None:
-                disconnected = injector.draw_disconnect(
-                    sid=-1, client=query.state.spec.name, now=simulator.now
-                )
-            attempt = _Try(query, disconnected)
-            simulator.submit(
-                query.template,
-                client=query.state.spec.name,
-                max_threads=query.max_threads,
-                on_complete=lambda _sid, _a=attempt: on_complete(_a),
-                on_failure=lambda _sid, error, _a=attempt: on_failure(_a, error),
+        lanes = [
+            Lane(
+                spec.name,
+                spec.plans,
+                max_threads=spec.max_threads,
+                max_queries=spec.max_queries,
+                timeout=res.timeout,
+                max_retries=res.max_retries,
             )
-            if res.timeout is not None:
-                simulator.schedule_at(
-                    simulator.now + res.timeout,
-                    lambda _a=attempt: on_timeout(_a),
-                )
-
-        def admit(query: _Query) -> None:
-            if in_flight < cap:
-                submit(query)
-                return
-            report.admission_waits += 1
-            admission_queue.append(query)
-            if len(admission_queue) > report.peak_queue_depth:
-                report.peak_queue_depth = len(admission_queue)
-            note(
-                "admission_wait",
-                client=query.state.spec.name,
-                depth=len(admission_queue),
-            )
-
-        def release_slot() -> None:
-            nonlocal in_flight
-            in_flight -= 1
-            if admission_queue and in_flight < cap:
-                submit(admission_queue.pop(0))
-
-        def retry(query: _Query) -> None:
-            report.retries += 1
-            retry_index = query.tries
-            query.tries += 1
-            note("retry", client=query.state.spec.name, attempt=query.tries)
-            shed = res.shed_threads(
-                query.max_threads, self.config.effective_threads
-            )
-            if shed is not None:
-                query.max_threads = shed
-                report.shed_dop += 1
-                note(
-                    "shed_dop",
-                    client=query.state.spec.name,
-                    threads=shed,
-                )
-            simulator.schedule_at(
-                simulator.now + res.backoff(retry_index),
-                lambda _q=query: admit(_q),
-            )
-
-        def abandon(query: _Query) -> None:
-            report.abandoned += 1
-            note("abandon", client=query.state.spec.name)
-            issue(query.state)
-
-        def on_complete(attempt: _Try) -> None:
-            release_slot()
-            if attempt.timed_out:
-                # The client already gave up on this attempt; the late
-                # result is discarded (the timeout path moved on).
-                return
-            attempt.settled = True
-            query = attempt.query
-            if attempt.disconnected:
-                report.disconnects += 1
-                note("disconnect", client=query.state.spec.name)
-                state = query.state
-                simulator.schedule_at(
-                    simulator.now + res.reconnect_delay,
-                    lambda _s=state: issue(_s),
-                )
-                return
-            state = query.state
-            state.completed += 1
-            state.response_times.append(simulator.now - query.t0)
-            if simulator.now > report.last_completion:
-                report.last_completion = simulator.now
-            issue(state)
-
-        def on_failure(attempt: _Try, error: Exception) -> None:
-            release_slot()
-            if not isinstance(error, InjectedFaultError):
-                # A genuine engine bug must never be retried into
-                # silence -- propagate out of Simulator.run().
-                raise error
-            if attempt.timed_out:
-                return  # the timeout path already decided what happens
-            attempt.settled = True
-            query = attempt.query
-            if query.tries < res.max_retries:
-                retry(query)
-            else:
-                abandon(query)
-
-        def on_timeout(attempt: _Try) -> None:
-            if attempt.settled:
-                return  # completed/failed before the deadline
-            attempt.timed_out = True
-            report.timeouts += 1
-            query = attempt.query
-            note("timeout", client=query.state.spec.name)
-            if query.tries < res.max_retries:
-                retry(query)
-            else:
-                abandon(query)
-
-        def issue(state: ClientState) -> None:
-            if simulator.now >= self.horizon or state.done():
-                return
-            template = state.next_plan(rng)
-            admit(_Query(state, template, simulator.now, state.spec.max_threads))
-
-        # ---- run ------------------------------------------------------
+            for spec in self.clients
+        ]
+        admission = FifoAdmission(
+            res.max_in_flight
+            if res.max_in_flight is not None
+            else 2 * self.config.machine.hardware_threads
+        )
         pool_stats = None
         try:
-            for state in states:
-                issue(state)
-            simulator.run()
+            last_completion = run_closed_loop(
+                simulator,
+                [(0.0, lane, 0) for lane in lanes],
+                admission=admission,
+                rng=np.random.default_rng(self._client_seed()),
+                horizon=self.horizon,
+                resilience=res,
+                disconnects=injector,
+                note=note,
+            )
         finally:
             if pool is not None:
                 # Snapshot before close: backend-specific counters are
                 # dropped once the backend is released.
                 pool_stats = pool.stats()
                 pool.close()
-        for state in states:
-            report.by_client[state.spec.name] = list(state.response_times)
+        report = WorkloadReport(
+            horizon=self.horizon,
+            by_client={lane.name: list(lane.response_times) for lane in lanes},
+            last_completion=last_completion,
+            peak_in_flight=admission.peak_in_flight,
+            peak_queue_depth=admission.peak_queue_depth,
+            **{
+                counter: sum(getattr(lane, counter) for lane in lanes)
+                for counter in ("retries", "timeouts", "disconnects",
+                                "shed_dop", "abandoned", "admission_waits")
+            },
+        )
         if obs is not None:
             obs.metrics.gauge(
                 "repro_service_peak_in_flight",
@@ -387,3 +614,55 @@ class ResilientWorkload:
                 event.as_tuple() for event in injector.schedule
             )
         return report
+
+
+class ConcurrentWorkload(ResilientWorkload):
+    """Closed-loop multi-client workload on a shared machine.
+
+    :class:`ResilientWorkload` without faults, and with one admission
+    slot per client, so the cap never binds: every client re-submits
+    straight into the machine after each completion.  It also serves
+    as the runner for *adaptive parallelization under load*:
+    :meth:`measure_plan` executes a probe plan while the background
+    clients keep hammering the machine, which is how AP plans become
+    resource-contention aware.
+    """
+
+    def __init__(
+        self,
+        config: SimulationConfig,
+        clients: list[ClientSpec],
+        *,
+        horizon: float = 30.0,
+    ) -> None:
+        super().__init__(config, clients, horizon=horizon)
+        self.resilience = ResilienceConfig(max_in_flight=len(clients))
+
+    def _client_seed(self) -> int:
+        return self.config.seed + 7_919
+
+    def measure_plan(
+        self, plan: Plan, *, max_threads: int | None = None, warmup: float = 1.0
+    ) -> ExecutionResult:
+        """Execute ``plan`` once under full background load.
+
+        The background clients run for ``warmup`` simulated seconds
+        first so the machine is saturated when the probe is submitted --
+        this is the runner adaptive parallelization uses to observe
+        contention.
+        """
+        probe: list[tuple[Simulator, int]] = []
+
+        def prepare(simulator: Simulator) -> None:
+            # The event loop never steps past a timer's deadline, so the
+            # probe goes in at exactly ``warmup``.
+            simulator.schedule_at(
+                warmup,
+                lambda: probe.append((simulator, simulator.submit(
+                    plan, client="probe", max_threads=max_threads
+                ))),
+            )
+
+        self._run(prepare)
+        simulator, sid = probe[0]
+        return simulator.result(sid)

@@ -4,7 +4,7 @@ The registry is the one place the engine's previously ad-hoc stat dicts
 (:class:`~repro.engine.memo.CacheStats`,
 :class:`~repro.engine.evalpool.PoolStats`,
 :class:`~repro.chaos.faults.FaultStats`,
-:class:`~repro.concurrency.runner.WorkloadReport`) publish into when an
+:class:`~repro.concurrency.service.WorkloadReport`) publish into when an
 :class:`~repro.observe.Observer` is attached; the stat classes remain as
 compatibility shims and the reconciliation tests assert both views
 agree.

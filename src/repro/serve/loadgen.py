@@ -5,7 +5,9 @@ Two drivers over the same tenant mixes:
 * :func:`run_loadgen` -- the deterministic path.  Builds a
   :class:`~repro.serve.service.TenantLoadService` over a generated
   TPC-H dataset and runs thousands of closed-loop clients in
-  *simulated* time.  Same seed, same preset => byte-identical
+  *simulated* time, one tenant per lane of
+  :func:`~repro.concurrency.service.run_closed_loop`, the loop every
+  simulated service shares.  Same seed, same preset => byte-identical
   :class:`~repro.serve.report.ServeReport` JSON on any host, any
   worker count, any backend -- the golden fixtures under
   ``tests/serve/golden/`` hold exactly these bytes, clean and under

@@ -7,11 +7,6 @@ deterministic scheduler), so one seed produces byte-identical JSON on
 any host, at any worker count, with or without the evaluation pool --
 the golden fixtures under ``tests/serve/golden/`` compare exactly
 those bytes.
-
-It also reconciles with the resilience layer:
-:meth:`ServeReport.workload_report` projects the same run onto the
-:class:`~repro.concurrency.runner.WorkloadReport` shape, and the
-property suite asserts the per-tenant counters sum to it exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..concurrency.runner import WorkloadReport
+from ..concurrency.service import Lane
 from ..errors import ServeError
 from .tenants import TenantSpec
 
@@ -32,24 +27,18 @@ def _pct(times: list[float], q: float) -> float:
     return float(np.percentile(times, q)) if times else 0.0
 
 
-@dataclass
-class TenantOutcome:
-    """Everything one tenant experienced during a load run."""
+@dataclass(kw_only=True)
+class TenantOutcome(Lane):
+    """Everything one tenant experienced during a load run.
+
+    The tenant's :class:`~repro.concurrency.service.Lane` of the closed
+    loop (its plan mix, limits and tally), plus its spec and the fair
+    scheduler's admission peaks.
+    """
 
     spec: TenantSpec
-    clients: int = 0
-    issued: int = 0
-    rejected: int = 0
-    completed: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    abandoned: int = 0
-    admission_waits: int = 0
     peak_in_flight: int = 0
     peak_queue_depth: int = 0
-    #: Client-perceived response times, simulated seconds, completion
-    #: order (includes every retry and backoff wait).
-    response_times: list[float] = field(default_factory=list)
 
     @property
     def admitted(self) -> int:
@@ -186,35 +175,6 @@ class ServeReport:
                 "weight_share": self.weight_share(),
             },
         }
-
-    def workload_report(self) -> WorkloadReport:
-        """The same run in :class:`WorkloadReport` shape (reconciliation).
-
-        ``by_client`` is keyed by tenant (one simulated "client" per
-        tenant aggregate); resilience counters are the tenant sums, so
-        ``sum(tenant.X) == workload_report().X`` holds by construction
-        *and* is asserted against the live scheduler counters by the
-        property suite.
-        """
-        report = WorkloadReport(
-            horizon=self.horizon,
-            last_completion=self.last_completion,
-            retries=sum(o.retries for o in self.tenants.values()),
-            timeouts=sum(o.timeouts for o in self.tenants.values()),
-            abandoned=sum(o.abandoned for o in self.tenants.values()),
-            faults_injected=self.faults_injected,
-            admission_waits=sum(o.admission_waits for o in self.tenants.values()),
-            peak_in_flight=max(
-                (o.peak_in_flight for o in self.tenants.values()), default=0
-            ),
-            peak_queue_depth=max(
-                (o.peak_queue_depth for o in self.tenants.values()), default=0
-            ),
-            fault_schedule=tuple(self.fault_schedule),
-        )
-        for name in sorted(self.tenants):
-            report.by_client[name] = list(self.tenants[name].response_times)
-        return report
 
     def format(self) -> str:
         """Human-readable summary (CLI output)."""
