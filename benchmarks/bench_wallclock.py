@@ -5,7 +5,7 @@ simulated time: a full adaptive-parallelization instance is driven per
 workload uncached at every swept evaluation-pool worker count, then
 once more with the shared ``IntermediateCache`` -- and all traces are
 cross-checked for bit-identical simulated results.  ``repro bench
---wallclock`` is the CLI entry point; this file makes the same run part
+wallclock`` is the CLI entry point; this file makes the same run part
 of the benchmark suite and pins the regression gates.
 """
 
@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.bench.wallclock import check_report, format_report, run_wallclock
+from repro.bench.gates import check_gates
+from repro.bench.wallclock import INVARIANTS, format_report, run_wallclock
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -32,4 +33,8 @@ def test_wallclock_quick(benchmark):
     # cross-run reuse must stay high (the adaptive loop re-executes
     # almost the same plan every run), and pooled evaluation may cost at
     # most 50% over workers=1 even on single-core CI runners.
-    check_report(report, min_hit_rate=0.5, max_worker_slowdown=1.5)
+    check_gates(
+        report,
+        ["summary.min_hit_rate>=0.5", "summary.max_worker_slowdown<=1.5"],
+        INVARIANTS,
+    )

@@ -1,18 +1,14 @@
 """Benchmark harness: experiment runners and paper-vs-measured reporting."""
 
+from .gates import check_gates
 from .reporting import ComparisonRow, ExperimentReport
-from .scaleout import (
-    check_scaleout_report,
-    format_scaleout_report,
-    run_scaleout,
-)
-from .wallclock import check_report, format_report, run_wallclock
+from .scaleout import format_scaleout_report, run_scaleout
+from .wallclock import format_report, run_wallclock
 
 __all__ = [
     "ComparisonRow",
     "ExperimentReport",
-    "check_report",
-    "check_scaleout_report",
+    "check_gates",
     "format_report",
     "format_scaleout_report",
     "run_scaleout",

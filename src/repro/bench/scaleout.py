@@ -14,8 +14,8 @@ Three sections, all deterministic functions of the workload seed:
   retries on the replicas and must reproduce the clean run's value
   bit for bit.
 
-``repro bench --scaleout`` runs this and can gate CI via
-``--min-scaleout-speedup`` / ``--max-skew-gap``; ``--figure`` renders
+``repro bench scaleout`` runs this, gates CI with ``--gate`` (e.g.
+``'sweep.-1.speedup>=1.8'``), and with ``--figure`` renders
 :func:`repro.viz.scaleout.render_scaleout_figure` from the report.
 """
 
@@ -32,6 +32,10 @@ from ..errors import ReproError
 
 #: Schema tag so downstream tooling can detect format changes.
 SCHEMA = "repro/bench/scaleout/v1"
+
+#: True on every report with a chaos section (see
+#: :func:`repro.bench.gates.check_gates`): failover kept the clean value.
+INVARIANTS = ("chaos.value_identical",)
 
 #: Default node counts swept (quick and full).
 DEFAULT_NODES = (1, 2, 4)
@@ -158,43 +162,6 @@ def _chaos_section(workload: ScaleoutWorkload, count: int) -> dict:
         "clean_s": round(clean.response_time, 6),
         "failover_s": round(survived.result.response_time, 6),
     }
-
-
-def check_scaleout_report(
-    report: dict,
-    *,
-    min_speedup: float | None = None,
-    max_skew_gap: float | None = None,
-) -> None:
-    """Raise :class:`ReproError` if the report misses its gates.
-
-    ``min_speedup`` gates the largest swept node count's speedup over
-    one node (the ISSUE's acceptance bar is 1.8x at 4 nodes).
-    ``max_skew_gap`` gates the post-adaptive straggler gap
-    (``adapted / balanced``; 1.0 means the gap fully closed).
-    """
-    last = report["sweep"][-1]
-    if min_speedup is not None and last["speedup"] < min_speedup:
-        raise ReproError(
-            f"scaleout speedup {last['speedup']:.2f}x at {last['nodes']} "
-            f"nodes is below the required {min_speedup:.2f}x"
-        )
-    skew = report.get("skew", {})
-    if (
-        max_skew_gap is not None
-        and "gap_after" in skew
-        and skew["gap_after"] > max_skew_gap
-    ):
-        raise ReproError(
-            f"straggler gap after placement mutations is "
-            f"{skew['gap_after']:.2f}x, above the allowed "
-            f"{max_skew_gap:.2f}x (was {skew['gap_before']:.2f}x before)"
-        )
-    chaos = report.get("chaos", {})
-    if "value_identical" in chaos and not chaos["value_identical"]:
-        raise ReproError(
-            "failover run's value differs from the clean run's"
-        )
 
 
 def format_scaleout_report(report: dict) -> str:

@@ -48,8 +48,12 @@ from ..workloads import JoinMicroWorkload, TpchDataset
 #: v3 adds the backend dimension (cold runs carry a ``backend``, the
 #: report carries ``backends_swept`` and per-backend ``worker_speedup``);
 #: v4 adds the convergence-cost metrics ``runs_to_gme`` and
-#: ``total_work_ms`` per workload (shared with ``bench --convergence``).
+#: ``total_work_ms`` per workload (shared with ``bench convergence``).
 SCHEMA = "repro/bench_wallclock/v4"
+
+#: True on every report (see :func:`repro.bench.gates.check_gates`): no
+#: backend, worker count or cache changed what the simulation observed.
+INVARIANTS = ("summary.all_identical",)
 
 
 def q1_style_plan(dataset: TpchDataset) -> Plan:
@@ -417,47 +421,6 @@ def run_wallclock(
             "all_identical": all(o.identical for o in outcomes),
         },
     }
-
-
-def check_report(
-    report: dict,
-    *,
-    min_hit_rate: float | None = None,
-    min_speedup: float | None = None,
-    max_worker_slowdown: float | None = None,
-) -> None:
-    """Raise :class:`ReproError` if the report misses its gates.
-
-    Used by CI: results must stay bit-identical, reuse/speedup must not
-    regress below the requested floors, and no swept backend x worker
-    combination may run more than ``max_worker_slowdown`` times slower
-    than workers=1 (parallel evaluation must never cost, only pay).
-    """
-    summary = report["summary"]
-    if not summary["all_identical"]:
-        broken = [w["name"] for w in report["workloads"] if not w["identical"]]
-        raise ReproError(
-            "pooled/memoized results diverged from the serial engine on: "
-            + ", ".join(broken)
-        )
-    if min_hit_rate is not None and summary["min_hit_rate"] < min_hit_rate:
-        raise ReproError(
-            f"cache hit rate {summary['min_hit_rate']:.2%} is below the "
-            f"required {min_hit_rate:.2%}"
-        )
-    if min_speedup is not None and summary["min_wallclock_speedup"] < min_speedup:
-        raise ReproError(
-            f"wall-clock speedup x{summary['min_wallclock_speedup']:.2f} is "
-            f"below the required x{min_speedup:.2f}"
-        )
-    if (
-        max_worker_slowdown is not None
-        and summary["max_worker_slowdown"] > max_worker_slowdown
-    ):
-        raise ReproError(
-            f"a pooled run was x{summary['max_worker_slowdown']:.2f} slower "
-            f"than workers=1 (tolerance x{max_worker_slowdown:.2f})"
-        )
 
 
 def format_report(report: dict) -> str:

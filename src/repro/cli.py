@@ -23,9 +23,13 @@ Commands
     current ones.  See ``docs/static_analysis.md``.
 ``bench NAME``
     Run one of the paper's experiments (``fig11``, ``fig12`` ...) and
-    print its paper-vs-measured report.  ``bench --wallclock`` instead
-    measures host wall-clock of full adaptive instances with the
-    cross-run result cache off vs on (see ``docs/perf.md``).
+    print its paper-vs-measured report, or a report bench:
+    ``wallclock`` (host wall-clock of full adaptive instances with the
+    cross-run result cache off vs on, see ``docs/perf.md``),
+    ``convergence`` or ``scaleout``.  A report bench prints its text,
+    writes ``BENCH_<name>.json`` (or ``--output``), renders
+    ``--figure``, and fails unless every ``--gate 'METRIC<=X'`` (or
+    ``>=``) holds on the report (see :mod:`repro.bench.gates`).
 ``chaos``
     Fault-injection demo (see ``docs/robustness.md``): a resilient
     closed-loop workload rides out injected operator crashes,
@@ -51,8 +55,8 @@ Commands
     tenants) against the same service core in simulated time -- the
     per-tenant p50/p99 SLO report is byte-identical for a fixed seed
     -- while the live ``/metrics`` endpoint stays scrapeable;
-    ``--chaos light`` adds fault injection, ``--max-p99-ms`` /
-    ``--max-abandoned`` turn the report into a CI gate.
+    ``--chaos light`` adds fault injection, and ``--gate`` (e.g.
+    ``'totals.p99_ms<=10000'``) turns the report into a CI gate.
 
     Examples::
 
@@ -77,17 +81,25 @@ from .sql import plan_sql
 from .viz import render_convergence_report, render_tomograph
 from .workloads import TpcdsDataset, TpchDataset
 
+#: Benches that write a JSON report and take ``--gate``.
+_REPORT_BENCHES = {
+    "wallclock": "host wall-clock of adaptive instances, cache off vs on",
+    "convergence": "convergence policies: credit/debit vs warm-start vs bandit",
+    "scaleout": "shared-nothing speedup vs nodes, skew straggler, node failure",
+}
+
+#: The paper's experiments: name -> module in ``repro.bench.experiments``.
 _EXPERIMENTS = {
-    "fig01": ("fig01_dop", "run"),
-    "fig11": ("fig11_trace", "run"),
-    "fig12": ("fig12_skew", "run"),
-    "fig14": ("fig14_select", "run"),
-    "fig15": ("fig15_join", "run"),
-    "fig16": ("fig16_workload", "run"),
-    "fig17": ("fig17_tpcds", "run"),
-    "fig18": ("fig18_robustness", "run"),
-    "fig18chaos": ("fig18_chaos", "run"),
-    "fig19": ("fig19_util", "run"),
+    "fig01": "fig01_dop",
+    "fig11": "fig11_trace",
+    "fig12": "fig12_skew",
+    "fig14": "fig14_select",
+    "fig15": "fig15_join",
+    "fig16": "fig16_workload",
+    "fig17": "fig17_tpcds",
+    "fig18": "fig18_robustness",
+    "fig18chaos": "fig18_chaos",
+    "fig19": "fig19_util",
 }
 
 
@@ -236,119 +248,45 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip building the operator certificate registry",
     )
 
-    bench = sub.add_parser("bench", help="run one of the paper's experiments")
-    bench.add_argument(
-        "name",
-        nargs="?",
-        choices=sorted(_EXPERIMENTS) + ["list"],
-        help="experiment id (or 'list')",
-    )
-    bench.add_argument(
-        "--wallclock",
-        action="store_true",
-        help="measure host wall-clock of adaptive instances, cache off vs on",
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="wallclock: smaller data, fewer runs"
-    )
-    bench.add_argument(
-        "--output",
-        metavar="FILE",
-        default="BENCH_wallclock.json",
-        help="wallclock: where to write the JSON report",
-    )
-    bench.add_argument(
-        "--min-hit-rate",
-        type=float,
-        default=None,
-        metavar="X",
-        help="wallclock: fail if any workload's cache hit rate is below X",
-    )
-    bench.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="wallclock: fail if any workload's host speedup is below X",
-    )
-    bench.add_argument(
+    bench = sub.add_parser("bench", help="run a paper experiment or a report bench")
+    benches = bench.add_subparsers(dest="name", metavar="NAME", required=True)
+    benches.add_parser("list", help="list the benches")
+    for name, module in _EXPERIMENTS.items():
+        benches.add_parser(name, help=f"paper experiment ({module})")
+    reports = {}
+    for name, help_text in _REPORT_BENCHES.items():
+        reports[name] = report = benches.add_parser(name, help=help_text)
+        report.add_argument(
+            "--quick", action="store_true", help="smaller data, fewer runs"
+        )
+        report.add_argument(
+            "--output",
+            metavar="FILE",
+            default=f"BENCH_{name}.json",
+            help="where to write the JSON report (default: %(default)s)",
+        )
+        _gate_arg(report)
+    for name in ("convergence", "scaleout"):
+        reports[name].add_argument(
+            "--figure", metavar="FILE", help="also export the report's SVG figure"
+        )
+    reports["wallclock"].set_defaults(figure=None)
+    reports["wallclock"].add_argument(
         "--workers",
-        default=None,
         metavar="N[,M...]",
-        help="wallclock: comma-separated evaluation-pool worker counts to "
-        "sweep (workers=1 is always included; default: 1 and host cpu count)",
+        help="comma-separated evaluation-pool worker counts to sweep "
+        "(workers=1 is always included; default: 1 and host cpu count)",
     )
-    bench.add_argument(
-        "--max-worker-slowdown",
-        type=float,
-        default=None,
-        metavar="X",
-        help="wallclock: fail if any pooled run is more than X times "
-        "slower than workers=1",
-    )
-    bench.add_argument(
+    reports["wallclock"].add_argument(
         "--backend",
-        default=None,
         metavar="B[,B...]",
-        help="wallclock: comma-separated evaluation backends to sweep "
+        help="comma-separated evaluation backends to sweep "
         "(e.g. 'inline,thread'; default: thread)",
     )
-    bench.add_argument(
-        "--convergence",
-        action="store_true",
-        help="compare convergence policies (cold credit/debit vs "
-        "warm-start vs bandit) across the workload suite",
-    )
-    bench.add_argument(
-        "--max-warm-ratio",
-        type=float,
-        default=None,
-        metavar="X",
-        help="convergence: fail unless warm-started runs-to-GME is at "
-        "most X times the cold value on the repeated workload",
-    )
-    bench.add_argument(
-        "--min-bandit-win",
-        type=float,
-        default=None,
-        metavar="X",
-        help="convergence: fail unless the bandit's total simulated work "
-        "beats credit/debit on at least fraction X of the suite",
-    )
-    bench.add_argument(
-        "--scaleout",
-        action="store_true",
-        help="shared-nothing scale-out: speedup vs nodes, skew straggler "
-        "gap before/after placement mutations, and a node-failure run",
-    )
-    bench.add_argument(
+    reports["scaleout"].add_argument(
         "--nodes",
-        default=None,
         metavar="N[,M...]",
-        help="scaleout: comma-separated node counts to sweep "
-        "(default: 1,2,4)",
-    )
-    bench.add_argument(
-        "--min-scaleout-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="scaleout: fail if the largest swept node count's speedup "
-        "over one node is below X",
-    )
-    bench.add_argument(
-        "--max-skew-gap",
-        type=float,
-        default=None,
-        metavar="X",
-        help="scaleout: fail if the straggler gap after placement "
-        "mutations is above X (1.0 means fully closed)",
-    )
-    bench.add_argument(
-        "--figure",
-        metavar="FILE",
-        default=None,
-        help="convergence/scaleout: also export the comparison SVG here",
+        help="comma-separated node counts to sweep (default: 1,2,4)",
     )
 
     chaos = sub.add_parser(
@@ -467,15 +405,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "--report", metavar="FILE", default=None,
         help="write the loadgen SLO report JSON here",
     )
-    serve.add_argument(
-        "--max-p99-ms", type=float, default=None,
-        help="gate: fail when the overall p99 exceeds this (ms, simulated)",
-    )
-    serve.add_argument(
-        "--max-abandoned", type=int, default=None,
-        help="gate: fail when more than this many queries were abandoned",
-    )
+    _gate_arg(serve)
     return parser
+
+
+def _gate_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--gate",
+        action="append",
+        default=[],
+        metavar="METRIC<=X",
+        help="fail unless the report's METRIC (a dotted path, e.g. "
+        "summary.min_hit_rate or sweep.-1.speedup) is <= or >= X; repeatable",
+    )
 
 
 def _backend_arg(parser: argparse.ArgumentParser) -> None:
@@ -779,136 +721,70 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.scaleout:
-        return _cmd_bench_scaleout(args)
-    if args.convergence:
-        return _cmd_bench_convergence(args)
-    if args.wallclock:
-        return _cmd_bench_wallclock(args)
-    if args.name is None:
-        raise ReproError(
-            "bench needs an experiment name (or "
-            "--wallclock/--convergence/--scaleout)"
-        )
     if args.name == "list":
-        for name, (module, __) in sorted(_EXPERIMENTS.items()):
+        for name, module in sorted(_EXPERIMENTS.items()):
             print(f"  {name}: repro.bench.experiments.{module}")
+        for name in sorted(_REPORT_BENCHES):
+            print(f"  {name}: repro.bench.{name} (writes BENCH_{name}.json)")
         return 0
-    module_name, func_name = _EXPERIMENTS[args.name]
+    if args.name in _REPORT_BENCHES:
+        return _cmd_report_bench(args)
     import importlib
 
-    module = importlib.import_module(f"repro.bench.experiments.{module_name}")
-    result = getattr(module, func_name)()
-    result.report.print()
+    module = _EXPERIMENTS[args.name]
+    importlib.import_module(f"repro.bench.experiments.{module}").run().report.print()
     return 0
 
 
-def _cmd_bench_wallclock(args) -> int:
+def _csv(text: str | None, kind, option: str) -> list | None:
+    """A comma-separated option value, or ``None`` when not given."""
+    if text is None:
+        return None
+    try:
+        return [kind(part.strip()) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ReproError(
+            f"{option} wants comma-separated values, got {text!r}"
+        ) from None
+
+
+def _cmd_report_bench(args) -> int:
+    """``repro bench wallclock|convergence|scaleout``: run, write, gate."""
     import json
 
-    from .bench.wallclock import check_report, format_report, run_wallclock
+    from .bench.gates import check_gates, parse_gate
 
-    workers = None
-    if args.workers is not None:
-        try:
-            workers = [int(part) for part in str(args.workers).split(",") if part]
-        except ValueError:
-            raise ReproError(
-                f"--workers wants comma-separated integers, got {args.workers!r}"
-            ) from None
-    backends = None
-    if args.backend is not None:
-        backends = [
-            part.strip() for part in str(args.backend).split(",") if part.strip()
-        ]
-    report = run_wallclock(quick=args.quick, workers=workers, backends=backends)
-    print(format_report(report))
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-    check_report(
-        report,
-        min_hit_rate=args.min_hit_rate,
-        min_speedup=args.min_speedup,
-        max_worker_slowdown=args.max_worker_slowdown,
-    )
-    return 0
+    for gate in args.gate:
+        parse_gate(gate)  # a malformed gate fails before the bench runs
+    if args.name == "wallclock":
+        from .bench import wallclock as bench
 
+        report = bench.run_wallclock(
+            quick=args.quick,
+            workers=_csv(args.workers, int, "--workers"),
+            backends=_csv(args.backend, str, "--backend"),
+        )
+        print(bench.format_report(report))
+    elif args.name == "convergence":
+        from .bench import convergence as bench
+        from .viz.policies import render_policy_figure as render
 
-def _cmd_bench_convergence(args) -> int:
-    import json
+        report = bench.run_convergence(quick=args.quick)
+        print(bench.format_convergence_report(report))
+    else:
+        from .bench import scaleout as bench
+        from .viz.scaleout import render_scaleout_figure as render
 
-    from .bench.convergence import (
-        check_convergence_report,
-        format_convergence_report,
-        run_convergence,
-    )
-
-    report = run_convergence(quick=args.quick)
-    print(format_convergence_report(report))
-    output = args.output
-    if output == "BENCH_wallclock.json":  # the bench-wide default
-        output = "BENCH_convergence.json"
-    if output:
-        with open(output, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {output}")
+        nodes = _csv(args.nodes, int, "--nodes")
+        report = bench.run_scaleout(
+            quick=args.quick,
+            nodes=bench.DEFAULT_NODES if nodes is None else tuple(nodes),
+        )
+        print(bench.format_scaleout_report(report))
+    _emit(json.dumps(report, indent=2), args.output, "report")
     if args.figure:
-        from .viz.policies import render_policy_figure
-
-        with open(args.figure, "w") as handle:
-            handle.write(render_policy_figure(report))
-        print(f"wrote {args.figure}")
-    check_convergence_report(
-        report,
-        max_warm_ratio=args.max_warm_ratio,
-        min_bandit_win=args.min_bandit_win,
-    )
-    return 0
-
-
-def _cmd_bench_scaleout(args) -> int:
-    import json
-
-    from .bench.scaleout import (
-        DEFAULT_NODES,
-        check_scaleout_report,
-        format_scaleout_report,
-        run_scaleout,
-    )
-
-    nodes = DEFAULT_NODES
-    if args.nodes is not None:
-        try:
-            nodes = tuple(int(part) for part in str(args.nodes).split(",") if part)
-        except ValueError:
-            raise ReproError(
-                f"--nodes wants comma-separated integers, got {args.nodes!r}"
-            ) from None
-    report = run_scaleout(quick=args.quick, nodes=nodes)
-    print(format_scaleout_report(report))
-    output = args.output
-    if output == "BENCH_wallclock.json":  # the bench-wide default
-        output = "BENCH_scaleout.json"
-    if output:
-        with open(output, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {output}")
-    if args.figure:
-        from .viz.scaleout import render_scaleout_figure
-
-        with open(args.figure, "w") as handle:
-            handle.write(render_scaleout_figure(report))
-        print(f"wrote {args.figure}")
-    check_scaleout_report(
-        report,
-        min_speedup=args.min_scaleout_speedup,
-        max_skew_gap=args.max_skew_gap,
-    )
+        _emit(render(report), args.figure, "figure")
+    check_gates(report, args.gate, bench.INVARIANTS)
     return 0
 
 
@@ -1071,9 +947,14 @@ async def _serve_async(args) -> int:
     from .serve import ReproServer, build_service, parse_tenants, preset
 
     if args.loadgen is not None and args.workload != "tpch":
-        print("error: --loadgen drives TPC-H statement mixes; use --workload tpch",
-              file=sys.stderr)
-        return 1
+        raise ReproError("--loadgen drives TPC-H statement mixes; use --workload tpch")
+    if args.gate:
+        from .bench.gates import check_gates, parse_gate
+
+        if args.loadgen is None:
+            raise ReproError("--gate needs --loadgen: it gates the loadgen report")
+        for gate in args.gate:
+            parse_gate(gate)  # a malformed gate fails before the load runs
     if args.workload == "tpch":
         dataset = TpchDataset(scale_factor=args.sf if args.sf else 1)
     else:
@@ -1149,17 +1030,9 @@ async def _serve_async(args) -> int:
         )
         print(f"report written to {args.report}")
     await server.stop()
-    failed = False
-    if args.max_p99_ms is not None and doc["totals"]["p99_ms"] > args.max_p99_ms:
-        print(f"gate FAIL: overall p99 {doc['totals']['p99_ms']:.1f} ms "
-              f"> {args.max_p99_ms:.1f} ms", file=sys.stderr)
-        failed = True
-    if (args.max_abandoned is not None
-            and doc["totals"]["abandoned"] > args.max_abandoned):
-        print(f"gate FAIL: {doc['totals']['abandoned']} abandoned "
-              f"> {args.max_abandoned}", file=sys.stderr)
-        failed = True
-    return 2 if failed else 0
+    if args.gate:
+        check_gates(doc, args.gate)
+    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

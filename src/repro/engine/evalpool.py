@@ -96,7 +96,7 @@ def default_workers(_cgroup_base: str = "/sys/fs/cgroup") -> int:
     Memoized per process (keyed on the cgroup base, so tests probing
     synthetic cgroup trees stay independent): affinity and quota don't
     change mid-run, and the cgroup filesystem reads were showing up in
-    ``repro bench --wallclock`` stage timings.  Use
+    ``repro bench wallclock`` stage timings.  Use
     ``default_workers.cache_clear()`` to force a re-probe.
     """
     return _default_workers_uncached(_cgroup_base)

@@ -14,8 +14,7 @@ Three serializations of one observation:
 * :func:`to_prometheus` -- text exposition of the metrics registry.
 
 Simulated seconds are mapped to trace microseconds (the trace-event
-``ts`` unit), like :func:`repro.viz.to_chrome_trace` does for raw
-profiles.
+``ts`` unit).
 """
 
 from __future__ import annotations

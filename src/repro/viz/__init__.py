@@ -1,4 +1,4 @@
-"""Visualization: text tomograph and ASCII figure plots."""
+"""Visualization: text tomograph, ASCII figure plots and bench SVG figures."""
 
 from .ascii_plot import bar_chart, line_plot
 from .convergence import render_convergence_report
@@ -9,7 +9,6 @@ from .tomograph import (
     render_trace_tomograph,
     utilization_summary,
 )
-from .trace import to_chrome_trace
 
 __all__ = [
     "bar_chart",
@@ -19,6 +18,5 @@ __all__ = [
     "render_scaleout_figure",
     "render_tomograph",
     "render_trace_tomograph",
-    "to_chrome_trace",
     "utilization_summary",
 ]

@@ -1,9 +1,8 @@
 """SVG comparison figure for the convergence-policy benchmark.
 
 Renders a ``BENCH_convergence.json`` document (see
-:mod:`repro.bench.convergence`) as a self-contained SVG -- no plotting
-library involved, so the figure can be regenerated anywhere the package
-runs.  Three panels:
+:mod:`repro.bench.convergence`) with :mod:`repro.viz.svg`.  Three
+panels:
 
 1. runs-to-GME per query, grouped bars per policy (log would hide the
    warm-start collapse, so linear);
@@ -14,223 +13,46 @@ runs.  Three panels:
 
 from __future__ import annotations
 
+from .svg import Bars, Lines, Series, figure
+
 #: Per-policy fill colors (colorblind-safe triad).
 COLORS = {"cold": "#4477aa", "warmstart": "#ee6677", "bandit": "#228833"}
 LABELS = {"cold": "credit/debit (cold)", "warmstart": "warm-start", "bandit": "bandit"}
 POLICY_ORDER = ("cold", "warmstart", "bandit")
 
-_FONT = "font-family=\"Helvetica,Arial,sans-serif\""
-
-
-def _esc(text: str) -> str:
-    return (
-        str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
-
-
-def _nice_ceiling(value: float) -> float:
-    """A round axis maximum >= value (1/2/5 ladder)."""
-    if value <= 0:
-        return 1.0
-    magnitude = 1.0
-    while magnitude * 10 <= value:
-        magnitude *= 10
-    while magnitude > value:
-        magnitude /= 10
-    for factor in (1, 2, 5, 10):
-        if magnitude * factor >= value:
-            return magnitude * factor
-    return magnitude * 10
-
-
-def _bar_panel(
-    out: list[str],
-    *,
-    x: int,
-    y: int,
-    width: int,
-    height: int,
-    title: str,
-    queries: list[str],
-    values: dict[str, list[float]],
-    unit: str,
-) -> None:
-    """One grouped-bar panel appended as SVG elements."""
-    peak = _nice_ceiling(max(max(vals) for vals in values.values()))
-    plot_x, plot_y = x + 52, y + 26
-    plot_w, plot_h = width - 64, height - 56
-    out.append(
-        f'<text x="{x}" y="{y + 12}" {_FONT} font-size="13" '
-        f'font-weight="bold" fill="#222">{_esc(title)}</text>'
-    )
-    # Gridlines + y labels at 0, 1/2, and full scale.
-    for frac in (0.0, 0.5, 1.0):
-        gy = plot_y + plot_h * (1 - frac)
-        out.append(
-            f'<line x1="{plot_x}" y1="{gy:.1f}" x2="{plot_x + plot_w}" '
-            f'y2="{gy:.1f}" stroke="#ddd" stroke-width="1"/>'
-        )
-        label = f"{peak * frac:g}"
-        out.append(
-            f'<text x="{plot_x - 6}" y="{gy + 4:.1f}" {_FONT} font-size="10" '
-            f'fill="#666" text-anchor="end">{_esc(label)}</text>'
-        )
-    out.append(
-        f'<text x="{x + 8}" y="{plot_y + plot_h / 2:.1f}" {_FONT} '
-        f'font-size="10" fill="#666" text-anchor="middle" '
-        f'transform="rotate(-90 {x + 8} {plot_y + plot_h / 2:.1f})">'
-        f"{_esc(unit)}</text>"
-    )
-    group_w = plot_w / max(len(queries), 1)
-    bar_w = min(18.0, group_w * 0.8 / len(POLICY_ORDER))
-    for qi, query in enumerate(queries):
-        cx = plot_x + group_w * (qi + 0.5)
-        start = cx - bar_w * len(POLICY_ORDER) / 2
-        for pi, policy in enumerate(POLICY_ORDER):
-            value = values[policy][qi]
-            bar_h = plot_h * value / peak
-            bx = start + pi * bar_w
-            by = plot_y + plot_h - bar_h
-            out.append(
-                f'<rect x="{bx:.1f}" y="{by:.1f}" width="{bar_w - 1:.1f}" '
-                f'height="{max(bar_h, 0.5):.1f}" fill="{COLORS[policy]}">'
-                f"<title>{_esc(query)} / {_esc(LABELS[policy])}: "
-                f"{value:g} {_esc(unit)}</title></rect>"
-            )
-        out.append(
-            f'<text x="{cx:.1f}" y="{plot_y + plot_h + 14}" {_FONT} '
-            f'font-size="10" fill="#444" text-anchor="middle">'
-            f"{_esc(query)}</text>"
-        )
-    out.append(
-        f'<line x1="{plot_x}" y1="{plot_y + plot_h}" x2="{plot_x + plot_w}" '
-        f'y2="{plot_y + plot_h}" stroke="#888" stroke-width="1"/>'
-    )
-
-
-def _trajectory_panel(
-    out: list[str],
-    *,
-    x: int,
-    y: int,
-    width: int,
-    height: int,
-    repeated: dict,
-) -> None:
-    runs = [e["runs_to_gme"] for e in repeated["encounters"]]
-    peak = _nice_ceiling(max(runs))
-    plot_x, plot_y = x + 52, y + 26
-    plot_w, plot_h = width - 64, height - 56
-    out.append(
-        f'<text x="{x}" y="{y + 12}" {_FONT} font-size="13" '
-        f'font-weight="bold" fill="#222">Repeated '
-        f"{_esc(repeated['workload'])}: runs-to-GME per encounter "
-        f"(warm ratio {repeated['warm_ratio']:.2f})</text>"
-    )
-    for frac in (0.0, 0.5, 1.0):
-        gy = plot_y + plot_h * (1 - frac)
-        out.append(
-            f'<line x1="{plot_x}" y1="{gy:.1f}" x2="{plot_x + plot_w}" '
-            f'y2="{gy:.1f}" stroke="#ddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{plot_x - 6}" y="{gy + 4:.1f}" {_FONT} font-size="10" '
-            f'fill="#666" text-anchor="end">{peak * frac:g}</text>'
-        )
-    step = plot_w / max(len(runs) - 1, 1)
-    points = []
-    for i, value in enumerate(runs):
-        px = plot_x + step * i
-        py = plot_y + plot_h * (1 - value / peak)
-        points.append(f"{px:.1f},{py:.1f}")
-        out.append(
-            f'<circle cx="{px:.1f}" cy="{py:.1f}" r="4" '
-            f'fill="{COLORS["warmstart"]}">'
-            f"<title>encounter {i + 1}: {value} runs</title></circle>"
-        )
-        out.append(
-            f'<text x="{px:.1f}" y="{py - 9:.1f}" {_FONT} font-size="10" '
-            f'fill="#444" text-anchor="middle">{value}</text>'
-        )
-        out.append(
-            f'<text x="{px:.1f}" y="{plot_y + plot_h + 14}" {_FONT} '
-            f'font-size="10" fill="#444" text-anchor="middle">'
-            f"enc {i + 1}</text>"
-        )
-    out.append(
-        f'<polyline points="{" ".join(points)}" fill="none" '
-        f'stroke="{COLORS["warmstart"]}" stroke-width="2"/>'
-    )
-    out.append(
-        f'<line x1="{plot_x}" y1="{plot_y + plot_h}" x2="{plot_x + plot_w}" '
-        f'y2="{plot_y + plot_h}" stroke="#888" stroke-width="1"/>'
-    )
-
 
 def render_policy_figure(report: dict) -> str:
     """The full comparison figure for one convergence report, as SVG."""
-    queries = list(report["queries"])
-    runs = {
-        p: [float(report["queries"][q][p]["runs_to_gme"]) for q in queries]
-        for p in POLICY_ORDER
-    }
-    work = {
-        p: [report["queries"][q][p]["total_work_ms"] for q in queries]
-        for p in POLICY_ORDER
-    }
-    width, panel_h = 880, 190
-    height = panel_h * 3 + 70
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="16" y="22" {_FONT} font-size="15" font-weight="bold" '
-        f'fill="#111">Convergence policies: learned DOP vs the paper\'s '
-        f"credit/debit walk "
-        f"({'quick' if report['quick'] else 'full'} mode)</text>",
+    queries = report["queries"]
+    bars = [
+        Bars(
+            title,
+            list(queries),
+            [
+                Series(LABELS[p], COLORS[p], [queries[q][p][metric] for q in queries])
+                for p in POLICY_ORDER
+            ],
+            unit,
+        )
+        for title, metric, unit in (
+            ("Runs to GME band (learning latency; lower is better)", "runs_to_gme", "runs"),
+            ("Total simulated work per convergence episode (lower is better)", "total_work_ms", "ms"),
+        )
     ]
-    # Legend.
-    lx = 16
-    for policy in POLICY_ORDER:
-        out.append(
-            f'<rect x="{lx}" y="30" width="12" height="12" '
-            f'fill="{COLORS[policy]}"/>'
-        )
-        label = LABELS[policy]
-        out.append(
-            f'<text x="{lx + 16}" y="40" {_FONT} font-size="11" '
-            f'fill="#333">{_esc(label)}</text>'
-        )
-        lx += 16 + 7 * len(label) + 24
-    _bar_panel(
-        out,
-        x=16,
-        y=52,
-        width=width - 32,
-        height=panel_h,
-        title="Runs to GME band (learning latency; lower is better)",
-        queries=queries,
-        values=runs,
-        unit="runs",
+    repeated = report["repeated"]
+    trajectory = [e["runs_to_gme"] for e in repeated["encounters"]]
+    return figure(
+        "Convergence policies: learned DOP vs the paper's credit/debit walk "
+        f"({'quick' if report['quick'] else 'full'} mode)",
+        bars + [
+            Lines(
+                f"Repeated {repeated['workload']}: runs-to-GME per encounter "
+                f"(warm ratio {repeated['warm_ratio']:.2f})",
+                list(range(1, len(trajectory) + 1)),
+                [Series(LABELS["warmstart"], COLORS["warmstart"], trajectory)],
+                "runs",
+                "encounter",
+            )
+        ],
+        legend=bars[0].series,
     )
-    _bar_panel(
-        out,
-        x=16,
-        y=52 + panel_h,
-        width=width - 32,
-        height=panel_h,
-        title="Total simulated work per convergence episode (lower is better)",
-        queries=queries,
-        values=work,
-        unit="ms",
-    )
-    _trajectory_panel(
-        out,
-        x=16,
-        y=52 + panel_h * 2,
-        width=width - 32,
-        height=panel_h,
-        repeated=report["repeated"],
-    )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"

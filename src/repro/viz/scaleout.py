@@ -1,8 +1,7 @@
 """SVG figure for the scale-out benchmark.
 
 Renders a ``BENCH_scaleout.json`` document (see
-:mod:`repro.bench.scaleout`) as a self-contained SVG with no plotting
-library.  Two panels:
+:mod:`repro.bench.scaleout`) with :mod:`repro.viz.svg`.  Two panels:
 
 1. speedup vs node count against the ideal linear diagonal -- the
    shared-nothing scaling headline;
@@ -13,221 +12,47 @@ library.  Two panels:
 
 from __future__ import annotations
 
+from .svg import Bars, Lines, Series, figure
+
 #: Panel colors (colorblind-safe).
-COLORS = {
-    "measured": "#4477aa",
-    "ideal": "#bbbbbb",
-    "balanced": "#228833",
-    "skewed": "#ee6677",
-    "adapted": "#4477aa",
-}
-
-_FONT = 'font-family="Helvetica,Arial,sans-serif"'
-
-
-def _esc(text: str) -> str:
-    return (
-        str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
-
-
-def _nice_ceiling(value: float) -> float:
-    """A round axis maximum >= value (1/2/5 ladder)."""
-    if value <= 0:
-        return 1.0
-    magnitude = 1.0
-    while magnitude * 10 <= value:
-        magnitude *= 10
-    while magnitude > value:
-        magnitude /= 10
-    for factor in (1, 2, 5, 10):
-        if magnitude * factor >= value:
-            return magnitude * factor
-    return magnitude * 10
-
-
-def _speedup_panel(
-    out: list[str],
-    *,
-    x: int,
-    y: int,
-    width: int,
-    height: int,
-    sweep: list[dict],
-) -> None:
-    counts = [row["nodes"] for row in sweep]
-    speedups = [row["speedup"] for row in sweep]
-    peak = _nice_ceiling(max(max(speedups), max(counts)))
-    plot_x, plot_y = x + 52, y + 26
-    plot_w, plot_h = width - 64, height - 56
-    out.append(
-        f'<text x="{x}" y="{y + 12}" {_FONT} font-size="13" '
-        f'font-weight="bold" fill="#222">Speedup vs nodes '
-        f"(uniform shard map; higher is better)</text>"
-    )
-    for frac in (0.0, 0.5, 1.0):
-        gy = plot_y + plot_h * (1 - frac)
-        out.append(
-            f'<line x1="{plot_x}" y1="{gy:.1f}" x2="{plot_x + plot_w}" '
-            f'y2="{gy:.1f}" stroke="#ddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{plot_x - 6}" y="{gy + 4:.1f}" {_FONT} font-size="10" '
-            f'fill="#666" text-anchor="end">{peak * frac:g}x</text>'
-        )
-    span = max(counts[-1] - counts[0], 1)
-
-    def px_of(count: int) -> float:
-        return plot_x + plot_w * (count - counts[0]) / span
-
-    def py_of(value: float) -> float:
-        return plot_y + plot_h * (1 - value / peak)
-
-    # Ideal linear scaling reference.
-    out.append(
-        f'<line x1="{px_of(counts[0]):.1f}" y1="{py_of(counts[0]):.1f}" '
-        f'x2="{px_of(counts[-1]):.1f}" y2="{py_of(counts[-1]):.1f}" '
-        f'stroke="{COLORS["ideal"]}" stroke-width="1.5" '
-        f'stroke-dasharray="6 4"/>'
-    )
-    out.append(
-        f'<text x="{px_of(counts[-1]) - 4:.1f}" '
-        f'y="{py_of(counts[-1]) - 6:.1f}" {_FONT} font-size="10" '
-        f'fill="#999" text-anchor="end">ideal</text>'
-    )
-    points = []
-    for row in sweep:
-        px, py = px_of(row["nodes"]), py_of(row["speedup"])
-        points.append(f"{px:.1f},{py:.1f}")
-        out.append(
-            f'<circle cx="{px:.1f}" cy="{py:.1f}" r="4" '
-            f'fill="{COLORS["measured"]}"><title>{row["nodes"]} node(s): '
-            f'{row["speedup"]:.2f}x ({row["response_s"]:.6f} s)</title>'
-            f"</circle>"
-        )
-        out.append(
-            f'<text x="{px:.1f}" y="{py - 9:.1f}" {_FONT} font-size="10" '
-            f'fill="#444" text-anchor="middle">{row["speedup"]:.2f}x</text>'
-        )
-        out.append(
-            f'<text x="{px:.1f}" y="{plot_y + plot_h + 14}" {_FONT} '
-            f'font-size="10" fill="#444" text-anchor="middle">'
-            f'{row["nodes"]}</text>'
-        )
-    out.append(
-        f'<polyline points="{" ".join(points)}" fill="none" '
-        f'stroke="{COLORS["measured"]}" stroke-width="2"/>'
-    )
-    out.append(
-        f'<line x1="{plot_x}" y1="{plot_y + plot_h}" x2="{plot_x + plot_w}" '
-        f'y2="{plot_y + plot_h}" stroke="#888" stroke-width="1"/>'
-    )
-    out.append(
-        f'<text x="{plot_x + plot_w / 2:.1f}" y="{plot_y + plot_h + 28}" '
-        f'{_FONT} font-size="10" fill="#666" text-anchor="middle">nodes'
-        f"</text>"
-    )
-
-
-def _skew_panel(
-    out: list[str],
-    *,
-    x: int,
-    y: int,
-    width: int,
-    height: int,
-    skew: dict,
-) -> None:
-    bars = [
-        ("balanced", "balanced map", skew["balanced_s"]),
-        ("skewed", "skewed map", skew["skewed_s"]),
-        ("adapted", "skewed + placement moves", skew["adapted_s"]),
-    ]
-    peak = _nice_ceiling(max(value for _, _, value in bars))
-    plot_x, plot_y = x + 52, y + 26
-    plot_w, plot_h = width - 64, height - 56
-    moves = len(skew["placement_moves"])
-    out.append(
-        f'<text x="{x}" y="{y + 12}" {_FONT} font-size="13" '
-        f'font-weight="bold" fill="#222">Straggler gap at '
-        f"{skew['nodes']} nodes: {skew['gap_before']:.2f}x &#8594; "
-        f"{skew['gap_after']:.2f}x after {moves} placement move(s)</text>"
-    )
-    for frac in (0.0, 0.5, 1.0):
-        gy = plot_y + plot_h * (1 - frac)
-        out.append(
-            f'<line x1="{plot_x}" y1="{gy:.1f}" x2="{plot_x + plot_w}" '
-            f'y2="{gy:.1f}" stroke="#ddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{plot_x - 6}" y="{gy + 4:.1f}" {_FONT} font-size="10" '
-            f'fill="#666" text-anchor="end">{peak * frac:g}</text>'
-        )
-    out.append(
-        f'<text x="{x + 8}" y="{plot_y + plot_h / 2:.1f}" {_FONT} '
-        f'font-size="10" fill="#666" text-anchor="middle" '
-        f'transform="rotate(-90 {x + 8} {plot_y + plot_h / 2:.1f})">'
-        f"response (s)</text>"
-    )
-    group_w = plot_w / len(bars)
-    bar_w = min(64.0, group_w * 0.5)
-    for i, (key, label, value) in enumerate(bars):
-        cx = plot_x + group_w * (i + 0.5)
-        bar_h = plot_h * value / peak
-        out.append(
-            f'<rect x="{cx - bar_w / 2:.1f}" '
-            f'y="{plot_y + plot_h - bar_h:.1f}" width="{bar_w:.1f}" '
-            f'height="{max(bar_h, 0.5):.1f}" fill="{COLORS[key]}">'
-            f"<title>{_esc(label)}: {value:.6f} s</title></rect>"
-        )
-        out.append(
-            f'<text x="{cx:.1f}" y="{plot_y + plot_h - bar_h - 5:.1f}" '
-            f'{_FONT} font-size="10" fill="#444" text-anchor="middle">'
-            f"{value:.4f}</text>"
-        )
-        out.append(
-            f'<text x="{cx:.1f}" y="{plot_y + plot_h + 14}" {_FONT} '
-            f'font-size="10" fill="#444" text-anchor="middle">'
-            f"{_esc(label)}</text>"
-        )
-    out.append(
-        f'<line x1="{plot_x}" y1="{plot_y + plot_h}" x2="{plot_x + plot_w}" '
-        f'y2="{plot_y + plot_h}" stroke="#888" stroke-width="1"/>'
-    )
+COLORS = {"measured": "#4477aa", "ideal": "#bbbbbb"}
 
 
 def render_scaleout_figure(report: dict) -> str:
     """The scale-out figure for one report, as a self-contained SVG."""
-    width, panel_h = 880, 210
-    skew = report.get("skew", {})
-    has_skew = "gap_before" in skew
-    height = panel_h * (2 if has_skew else 1) + 46
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="16" y="22" {_FONT} font-size="15" font-weight="bold" '
-        f'fill="#111">Shared-nothing scale-out '
-        f"({'quick' if report['quick'] else 'full'} mode, "
-        f"{report['workload']['rows']} rows, "
-        f"{report['workload']['node_threads']} threads/node)</text>",
-    ]
-    _speedup_panel(
-        out,
-        x=16,
-        y=34,
-        width=width - 32,
-        height=panel_h,
-        sweep=report["sweep"],
-    )
-    if has_skew:
-        _skew_panel(
-            out,
-            x=16,
-            y=34 + panel_h,
-            width=width - 32,
-            height=panel_h,
-            skew=skew,
+    nodes = [row["nodes"] for row in report["sweep"]]
+    speedups = [row["speedup"] for row in report["sweep"]]
+    panels: list[Bars | Lines] = [
+        Lines(
+            "Speedup vs nodes (uniform shard map; higher is better)",
+            nodes,
+            [
+                Series("ideal", COLORS["ideal"], nodes, dashed=True),
+                Series("measured", COLORS["measured"], speedups),
+            ],
+            "speedup (x)",
+            "nodes",
+            label="{:.2f}x",
         )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    ]
+    skew = report["skew"]
+    if "gap_before" in skew:
+        times = [skew["balanced_s"], skew["skewed_s"], skew["adapted_s"]]
+        panels.append(
+            Bars(
+                f"Straggler gap at {skew['nodes']} nodes: {skew['gap_before']:.2f}x "
+                f"-> {skew['gap_after']:.2f}x after "
+                f"{len(skew['placement_moves'])} placement move(s)",
+                ["balanced map", "skewed map", "skewed + placement moves"],
+                [Series("measured", COLORS["measured"], times)],
+                "response (s)",
+                label="{:.4f}",
+            )
+        )
+    workload = report["workload"]
+    return figure(
+        f"Shared-nothing scale-out ({'quick' if report['quick'] else 'full'} "
+        f"mode, {workload['rows']} rows, {workload['node_threads']} threads/node)",
+        panels,
+        panel_height=210,
+    )

@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 
-from repro.bench.convergence import (
-    SCHEMA,
-    check_convergence_report,
-    format_convergence_report,
-)
+from repro.bench.convergence import INVARIANTS, SCHEMA, format_convergence_report
+from repro.bench.gates import check_gates
 from repro.errors import ReproError
 from repro.viz.policies import render_policy_figure
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def _policy(runs_to_gme, total_work_ms, policy="credit_debit", total_runs=100):
@@ -61,20 +62,26 @@ def _report(*, warm_ratio=0.2, bandit_wins=2, suite=2):
     }
 
 
+def check_convergence_report(report: dict, *gates: str) -> None:
+    check_gates(report, gates, INVARIANTS)
+
+
 class TestCheckConvergenceReport:
     def test_passes_within_gates(self):
         check_convergence_report(
-            _report(), max_warm_ratio=0.7, min_bandit_win=0.5
+            _report(), "repeated.warm_ratio<=0.7", "summary.bandit_win_fraction>=0.5"
         )
 
     def test_warm_ratio_gate(self):
-        with pytest.raises(ReproError, match="runs-to-GME ratio"):
-            check_convergence_report(_report(warm_ratio=0.9), max_warm_ratio=0.7)
+        with pytest.raises(ReproError, match="repeated.warm_ratio is 0.9"):
+            check_convergence_report(
+                _report(warm_ratio=0.9), "repeated.warm_ratio<=0.7"
+            )
 
     def test_bandit_win_gate(self):
-        with pytest.raises(ReproError, match="bandit"):
+        with pytest.raises(ReproError, match="bandit_win_fraction is 0"):
             check_convergence_report(
-                _report(bandit_wins=0), min_bandit_win=0.5
+                _report(bandit_wins=0), "summary.bandit_win_fraction>=0.5"
             )
 
     def test_unchecked_by_default(self):
@@ -109,3 +116,8 @@ class TestPolicyFigure:
         assert "<evil>" not in svg
         assert "&lt;evil&gt;" in svg
         xml.dom.minidom.parseString(svg)
+
+    def test_committed_figure_matches_its_report(self):
+        report = json.loads((ROOT / "BENCH_convergence.json").read_text())
+        committed = (ROOT / "figures" / "convergence_policies.svg").read_text()
+        assert render_policy_figure(report) == committed

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.gates import check_gates
 from repro.bench.wallclock import (
+    INVARIANTS,
     SCHEMA,
-    check_report,
     resolve_backends,
     resolve_workers,
 )
@@ -71,31 +72,34 @@ def _report(
     }
 
 
+def check_report(report: dict, *gates: str) -> None:
+    check_gates(report, gates, INVARIANTS)
+
+
 class TestCheckReport:
     def test_passes_within_gates(self):
         check_report(
             _report(),
-            min_hit_rate=0.5,
-            min_speedup=1.0,
-            max_worker_slowdown=1.2,
+            "summary.min_hit_rate>=0.5",
+            "summary.min_wallclock_speedup>=1.0",
+            "summary.max_worker_slowdown<=1.2",
         )
 
     def test_divergence_always_fails(self):
-        with pytest.raises(ReproError, match="diverged"):
+        with pytest.raises(ReproError, match="summary.all_identical is False"):
             check_report(_report(identical=False))
 
     def test_hit_rate_gate(self):
-        with pytest.raises(ReproError, match="hit rate"):
-            check_report(_report(hit_rate=0.1), min_hit_rate=0.5)
+        with pytest.raises(ReproError, match="summary.min_hit_rate is 0.1"):
+            check_report(_report(hit_rate=0.1), "summary.min_hit_rate>=0.5")
 
     def test_speedup_gate(self):
-        with pytest.raises(ReproError, match="speedup"):
-            check_report(_report(speedup=1.1), min_speedup=1.5)
+        with pytest.raises(ReproError, match="min_wallclock_speedup"):
+            check_report(_report(speedup=1.1), "summary.min_wallclock_speedup>=1.5")
 
     def test_worker_slowdown_gate(self):
-        with pytest.raises(ReproError, match="slower"):
-            check_report(_report(slowdown=1.4), max_worker_slowdown=1.15)
+        with pytest.raises(ReproError, match="max_worker_slowdown is 1.4"):
+            check_report(_report(slowdown=1.4), "summary.max_worker_slowdown<=1.15")
 
     def test_worker_slowdown_unchecked_by_default(self):
         check_report(_report(slowdown=3.0))
-

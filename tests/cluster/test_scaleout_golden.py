@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.gates import check_gates
 from repro.bench.scaleout import (
+    INVARIANTS,
     SCHEMA,
-    check_scaleout_report,
     format_scaleout_report,
     run_scaleout,
 )
@@ -73,8 +74,10 @@ class TestReportShape:
         assert len({row["value"] for row in quick_report["sweep"]}) == 1
 
     def test_acceptance_gates_pass(self, quick_report):
-        check_scaleout_report(
-            quick_report, min_speedup=1.8, max_skew_gap=1.1
+        check_gates(
+            quick_report,
+            ["sweep.-1.speedup>=1.8", "skew.gap_after<=1.1"],
+            INVARIANTS,
         )
 
     def test_skew_section_documents_the_straggler(self, quick_report):
@@ -91,10 +94,18 @@ class TestReportShape:
         assert chaos["value_identical"]
 
     def test_gates_fail_loudly(self, quick_report):
-        with pytest.raises(ReproError, match="below the required"):
-            check_scaleout_report(quick_report, min_speedup=1000.0)
-        with pytest.raises(ReproError, match="straggler gap"):
-            check_scaleout_report(quick_report, max_skew_gap=0.5)
+        with pytest.raises(ReproError, match="sweep.-1.speedup is 3.939"):
+            check_gates(quick_report, ["sweep.-1.speedup>=1000"], INVARIANTS)
+        with pytest.raises(ReproError, match="skew.gap_after is 1"):
+            check_gates(quick_report, ["skew.gap_after<=0.5"], INVARIANTS)
+
+    def test_failover_divergence_always_fails(self, quick_report):
+        diverged = dict(quick_report, chaos={**quick_report["chaos"]})
+        diverged["chaos"]["value_identical"] = False
+        with pytest.raises(ReproError, match="chaos.value_identical is False"):
+            check_gates(diverged, [], INVARIANTS)
+        # A report without a chaos section has nothing to check.
+        check_gates(run_scaleout(quick=True, nodes=(1,)), [], INVARIANTS)
 
     def test_bad_node_counts_rejected(self):
         with pytest.raises(ReproError, match=">= 1"):

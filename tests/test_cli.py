@@ -318,24 +318,25 @@ class TestBench:
             main(["bench", "fig99"])
 
     def test_bench_requires_name_or_wallclock(self, capsys):
-        assert main(["bench"]) == 1
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["bench"])
+        assert "required: NAME" in capsys.readouterr().err
 
     def test_bench_wallclock_quick(self, capsys, tmp_path):
         out_file = tmp_path / "wallclock.json"
         code = main(
             [
                 "bench",
-                "--wallclock",
+                "wallclock",
                 "--quick",
                 "--output",
                 str(out_file),
-                "--min-hit-rate",
-                "0.5",
+                "--gate",
+                "summary.min_hit_rate>=0.5",
                 "--workers",
                 "2",
-                "--max-worker-slowdown",
-                "2.0",
+                "--gate",
+                "summary.max_worker_slowdown<=2.0",
             ]
         )
         assert code == 0
@@ -355,13 +356,40 @@ class TestBench:
         code = main(
             [
                 "bench",
-                "--wallclock",
+                "wallclock",
                 "--quick",
                 "--output",
                 str(tmp_path / "w.json"),
-                "--min-hit-rate",
-                "0.999",
+                "--gate",
+                "summary.min_hit_rate>=0.999",
             ]
         )
         assert code == 1
-        assert "hit rate" in capsys.readouterr().err
+        assert "gate failed: summary.min_hit_rate" in capsys.readouterr().err
+
+    def test_bench_gate_on_a_missing_metric_fails(self, capsys, monkeypatch, tmp_path):
+        # One node: the skew section is skipped, so it has no gap_after.
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            [
+                "bench",
+                "scaleout",
+                "--quick",
+                "--nodes",
+                "1",
+                "--gate",
+                "skew.gap_after<=1.2",
+            ]
+        )
+        assert code == 1
+        assert "skew.gap_after" in capsys.readouterr().err
+
+    def test_bench_writes_the_output_it_was_given(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["bench", "scaleout", "--quick", "--output", "BENCH_wallclock.json"]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "BENCH_wallclock.json").read_text())
+        assert report["schema"] == "repro/bench/scaleout/v1"
+        assert not (tmp_path / "BENCH_scaleout.json").exists()

@@ -81,44 +81,3 @@ class TestAsciiPlots:
     def test_bar_chart_empty_rejected(self):
         with pytest.raises(ValueError):
             bar_chart(["g"], {})
-
-
-class TestChromeTrace:
-    def test_trace_contains_one_event_per_operator(self, profile):
-        import json
-
-        from repro.viz import to_chrome_trace
-
-        document = json.loads(to_chrome_trace(profile))
-        complete = [e for e in document["traceEvents"] if e["ph"] == "X"]
-        assert len(complete) == len(profile.records)
-
-    def test_trace_timestamps_in_microseconds(self, profile):
-        import json
-
-        from repro.viz import to_chrome_trace
-
-        document = json.loads(to_chrome_trace(profile))
-        span_us = (profile.finish_time - profile.submit_time) * 1e6
-        for event in document["traceEvents"]:
-            if event["ph"] == "X":
-                assert 0 <= event["ts"] <= span_us + 1e-6
-                assert event["dur"] >= 0
-
-    def test_trace_rejects_unfinished_profile(self, profile):
-        from repro.viz import to_chrome_trace
-
-        profile.finish_time = None
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            to_chrome_trace(profile)
-
-    def test_trace_categorizes_kinds(self, profile):
-        import json
-
-        from repro.viz import to_chrome_trace
-
-        document = json.loads(to_chrome_trace(profile))
-        categories = {e.get("cat") for e in document["traceEvents"] if e["ph"] == "X"}
-        assert "filter" in categories
