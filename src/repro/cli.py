@@ -27,7 +27,8 @@ Commands
     ``wallclock`` (host wall-clock of full adaptive instances with the
     cross-run result cache off vs on, see ``docs/perf.md``),
     ``convergence`` or ``scaleout``.  A report bench prints its text,
-    writes ``BENCH_<name>.json`` (or ``--output``), renders
+    writes ``BENCH_<name>.json`` (``BENCH_<name>_quick.json`` with
+    ``--quick``, or ``--output``), renders
     ``--figure``, and fails unless every ``--gate 'METRIC<=X'`` (or
     ``>=``) holds on the report (see :mod:`repro.bench.gates`).
 ``chaos``
@@ -262,8 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
         report.add_argument(
             "--output",
             metavar="FILE",
-            default=f"BENCH_{name}.json",
-            help="where to write the JSON report (default: %(default)s)",
+            help=f"where to write the JSON report (default: BENCH_{name}.json, "
+            f"or BENCH_{name}_quick.json with --quick)",
         )
         _gate_arg(report)
     for name in ("convergence", "scaleout"):
@@ -781,7 +782,9 @@ def _cmd_report_bench(args) -> int:
             nodes=bench.DEFAULT_NODES if nodes is None else tuple(nodes),
         )
         print(bench.format_scaleout_report(report))
-    _emit(json.dumps(report, indent=2), args.output, "report")
+    # A quick run never lands on the committed full-mode report.
+    output = args.output or f"BENCH_{args.name}{'_quick' if args.quick else ''}.json"
+    _emit(json.dumps(report, indent=2), output, "report")
     if args.figure:
         _emit(render(report), args.figure, "figure")
     check_gates(report, args.gate, bench.INVARIANTS)
@@ -1024,12 +1027,11 @@ async def _serve_async(args) -> int:
     print(f"  /metrics answered {scrapes} scrape(s) during the run")
     print(report.format())
     doc = report.as_dict()
-    if args.report is not None:
-        Path(args.report).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"report written to {args.report}")
-    await server.stop()
+    try:
+        if args.report is not None:
+            _emit(json.dumps(doc, indent=2, sort_keys=True), args.report, "report")
+    finally:
+        await server.stop()
     if args.gate:
         check_gates(doc, args.gate)
     return 0

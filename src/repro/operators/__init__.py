@@ -2,7 +2,7 @@
 
 from . import fastpath
 from .aggregate import Aggregate
-from .base import Operator, WorkProfile
+from .base import Operator, WorkProfile, member_mask
 from .calc import Calc
 from .exchange import Pack
 from .groupby import AGG_FUNCS, AggrMerge, GroupAggregate, merge_func_for
@@ -67,5 +67,6 @@ __all__ = [
     "fastpath",
     "value_partition_bounds",
     "hash_join_pairs",
+    "member_mask",
     "merge_func_for",
 ]

@@ -265,3 +265,28 @@ def dense_key_range(keys: np.ndarray) -> tuple[int, int] | None:
     if hi - lo + 1 > len(keys) + DENSE_KEY_SLACK:
         return None
     return lo, hi
+
+
+def member_mask(
+    values: np.ndarray, keys: np.ndarray, *, invert: bool = False
+) -> np.ndarray:
+    """``np.isin(values, keys, invert=invert)``, bit for bit.
+
+    When ``values`` pass the dense-key rule (:func:`dense_key_range`)
+    and ``keys`` are :func:`is_int64_exact`, membership is read from a
+    bool table over the values' own ``[lo, hi]``: keys outside it are
+    dropped once, and every value indexes the table at ``value - lo``
+    with no range check.  ``np.isin``'s table method checks both bounds
+    of every probe value instead.  Anything else calls ``np.isin``.
+    """
+    key_range = dense_key_range(values)
+    if key_range is None or not is_int64_exact(keys.dtype):
+        return np.isin(values, keys, invert=invert)
+    lo, hi = key_range
+    table = np.full(hi - lo + 1, invert, dtype=bool)
+    keys = keys.astype(np.intp, copy=False)
+    table[keys[(keys >= lo) & (keys <= hi)] - lo] = not invert
+    if lo == 0:
+        return table[values]
+    # In intp: ``value - lo`` can overflow a narrow dtype (int8 -50..100).
+    return table[np.subtract(values, lo, dtype=np.intp)]

@@ -15,6 +15,8 @@ indexed by ``key - lo`` and probed with one gather -- a direct-address
 hash table.  Anything else (float keys, wide spans, duplicate build
 keys) is matched with a sort + binary search on the build side.  Both
 yield the same (outer oid, inner oid) pairs in outer order, bit for bit.
+``SemiJoin`` applies the same rule to its probe side through
+:func:`~repro.operators.base.member_mask`.
 Simulated *time* comes from hash-join cost formulas, not from the numpy
 runtime.
 """
@@ -35,6 +37,7 @@ from .base import (
     dictionary_of,
     dtype_of,
     is_int64_exact,
+    member_mask,
     pairs_of,
 )
 
@@ -156,7 +159,11 @@ class SemiJoin(Operator):
     """Outer tuples with at least one inner match (EXISTS / IN-subquery).
 
     Output is a BAT of (outer oid, outer value) for the qualifying outer
-    tuples, preserving outer order.
+    tuples, preserving outer order; ``negate`` keeps the tuples with no
+    match (anti-join, NOT IN).  Membership comes from
+    :func:`~repro.operators.base.member_mask`, which reads it from a
+    direct table over the outer values' range when they pass the
+    dense-key rule.
     """
 
     kind = "semijoin"
@@ -171,10 +178,12 @@ class SemiJoin(Operator):
             raise OperatorError(f"semijoin takes 2 inputs, got {len(inputs)}")
         outer_heads, outer_values = pairs_of(inputs[0], what="semijoin outer")
         __, inner_values = pairs_of(inputs[1], what="semijoin inner")
-        hit = np.isin(outer_values, inner_values, invert=self.negate)
+        rows = np.flatnonzero(
+            member_mask(outer_values, inner_values, invert=self.negate)
+        )
         return BAT(
-            outer_heads[hit],
-            outer_values[hit],
+            outer_heads[rows],
+            outer_values[rows],
             dtype_of(inputs[0]),
             dictionary_of(inputs[0]),
         )

@@ -18,7 +18,7 @@ from ..errors import OperatorError
 from ..storage.column import Candidates, ColumnSlice, Intermediate
 from ..storage.dtypes import OID_DTYPE
 from . import fastpath
-from .base import Operator, WorkProfile, as_oid_array
+from .base import Operator, WorkProfile, as_oid_array, member_mask
 
 
 class Predicate(ABC):
@@ -106,7 +106,12 @@ class EqualsPredicate(Predicate):
 
 
 class InPredicate(Predicate):
-    """``v [not] in values`` (IN-list)."""
+    """``v [not] in values`` (IN-list).
+
+    String values become the dictionary codes they match; the mask is
+    :func:`~repro.operators.base.member_mask` of the column values
+    against those codes or the numeric list.
+    """
 
     def __init__(
         self, values: Sequence[float | int | str], *, negate: bool = False
@@ -123,11 +128,7 @@ class InPredicate(Predicate):
                 raise OperatorError("string IN-list on a non-string column")
             wanted = set(targets)
             targets = tuple(i for i, s in enumerate(dictionary) if s in wanted)
-            if not targets:
-                hit = np.zeros(len(values), dtype=bool)
-                return ~hit if self.negate else hit
-        hit = np.isin(values, np.asarray(targets))
-        return ~hit if self.negate else hit
+        return member_mask(values, np.asarray(targets), invert=self.negate)
 
     def describe(self) -> str:
         op = "not in" if self.negate else "in"
@@ -141,7 +142,8 @@ class LikePredicate(Predicate):
     """SQL ``LIKE`` on a dictionary-encoded string column.
 
     The pattern is matched against the dictionary once, then reduced to a
-    code IN-list -- the classic column-store trick.
+    code IN-list -- the classic column-store trick -- whose mask is
+    :func:`~repro.operators.base.member_mask` of the column's codes.
     """
 
     def __init__(self, pattern: str, *, negate: bool = False) -> None:
@@ -156,8 +158,9 @@ class LikePredicate(Predicate):
     def mask(self, values: np.ndarray, dictionary: tuple[str, ...] | None) -> np.ndarray:
         if dictionary is None:
             raise OperatorError("LIKE requires a dictionary-encoded string column")
-        hit = np.isin(values, self.matching_codes(dictionary))
-        return ~hit if self.negate else hit
+        return member_mask(
+            values, self.matching_codes(dictionary), invert=self.negate
+        )
 
     def describe(self) -> str:
         op = "not like" if self.negate else "like"

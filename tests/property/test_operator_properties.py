@@ -7,7 +7,10 @@ serially (candidates keep their order; aggregates merge exactly).
 The dense-key kernels get their own identities: the direct-address
 group index equals ``np.unique(keys, return_inverse=True)`` and the
 direct-address join equals the sort + binary search path (values and
-dtypes), and both equal a plain-Python dict reference.
+dtypes), and both equal a plain-Python dict reference.  The membership
+table equals ``np.isin`` on every integer dtype, and the semijoin,
+anti-join, IN and LIKE kernels built on it equal a Python-set reference
+or ``np.isin``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.operators import (
@@ -23,17 +26,20 @@ from repro.operators import (
     AggrMerge,
     Fetch,
     GroupAggregate,
+    InPredicate,
     Join,
+    LikePredicate,
     Pack,
     RangePredicate,
     Select,
     SemiJoin,
+    member_mask,
     merge_func_for,
 )
-from repro.operators.base import DENSE_KEY_SLACK, dense_key_range
+from repro.operators.base import DENSE_KEY_SLACK, dense_key_range, is_int64_exact
 from repro.operators.groupby import _group_index, _reduce_by_group
 from repro.operators.join import _sorted_join_pairs, hash_join_pairs
-from repro.storage import Candidates, Column, LNG
+from repro.storage import BAT, INT, LNG, OID, STR, Candidates, Column
 
 small_ints = st.integers(min_value=-1000, max_value=1000)
 arrays = st.lists(small_ints, min_size=1, max_size=250)
@@ -357,3 +363,175 @@ class TestDenseJoin:
         inner = np.array([2, 1], dtype=np.int64)
         left, right = hash_join_pairs(np.arange(3), outer, np.arange(2), inner)
         assert left.tolist() == [0, 2] and right.tolist() == [1, 0]
+
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32]
+
+
+@st.composite
+def member_values(draw, dtypes=INT_DTYPES):
+    """Probe values under the dense-key rule: either their whole span but
+    for up to three holes (int8/int16 ones often straddling zero with
+    ``hi - lo`` past the dtype's maximum, so ``value - lo`` overflows the
+    dtype), or a few values over a span up to the rule's bound."""
+    dtype = draw(st.sampled_from(dtypes))
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        if info.max < 2**15 and info.min < 0 and draw(st.booleans()):
+            span = draw(st.integers(int(info.max) + 2, int(info.max) + 120))
+        else:
+            span = draw(st.integers(1, 150))
+        holes = draw(st.sets(st.integers(1, span - 2), max_size=3)) if span > 2 else set()
+        offsets = np.concatenate([
+            np.delete(np.arange(span), sorted(holes)),
+            rng.integers(0, span, draw(st.integers(0, 20))),
+        ])
+    else:
+        n = draw(st.integers(1, 60))
+        span = 1 if n == 1 else _span_near_bound(draw, 1, n)
+        span = min(span, n + DENSE_KEY_SLACK)
+        offsets = rng.integers(0, span, n)
+        offsets[0], offsets[-1] = 0, span - 1
+    lo = draw(st.integers(int(info.min), int(info.max) - span + 1))
+    return (lo + rng.permutation(offsets)).astype(dtype)
+
+
+@st.composite
+def member_keys(draw, values, dtypes=INT_DTYPES):
+    """Keys of any integer dtype: probe values, near misses on both sides
+    of ``[lo, hi]``, far-off values and the key dtype's extremes; or none."""
+    dtype = draw(st.sampled_from(dtypes))
+    info = np.iinfo(dtype)
+    lo, hi = int(values.min()), int(values.max())
+    keys = draw(st.lists(
+        st.sampled_from(values.tolist())
+        | st.integers(lo - 3, lo - 1)
+        | st.integers(hi + 1, hi + 3)
+        | st.integers(lo - 500, hi + 500)
+        | st.sampled_from([int(info.min), int(info.max)]),
+        max_size=40,
+    ))
+    return np.asarray(
+        [k for k in keys if info.min <= k <= info.max], dtype=dtype
+    )
+
+
+@st.composite
+def outside_the_rule(draw):
+    """Inputs ``member_mask`` hands to ``np.isin``: dense probe values
+    against float keys (some in halves, which an integer table would
+    truncate) or uint64 keys; or uint64, float, empty or wide-span probe
+    values against integer or float keys."""
+    if draw(st.booleans()):
+        values = draw(member_values())
+        keys = draw(member_keys(values, dtypes=[np.int64]))
+        if draw(st.booleans()):
+            return values, keys[keys >= 0].astype(np.uint64)
+        return values, keys + np.arange(len(keys)) % 2 / 2
+    top = draw(st.sampled_from([0, 4000]))
+    values = draw(st.lists(st.integers(0, top), max_size=60))
+    dtype = draw(st.sampled_from([np.uint64, np.float64, np.int64]))
+    if dtype is np.int64 and values:
+        values += [top + len(values) + DENSE_KEY_SLACK + 1]  # span past the bound
+    keys = draw(st.lists(st.integers(0, top + 100), max_size=20))
+    key_dtype = draw(st.sampled_from([np.int64, np.float64]))
+    return np.asarray(values, dtype=dtype), np.asarray(keys, dtype=key_dtype)
+
+
+def _assert_matches_isin(values, keys):
+    for invert in (False, True):
+        got = member_mask(values, keys, invert=invert)
+        expected = np.isin(values, keys, invert=invert)
+        assert got.dtype == expected.dtype == bool
+        np.testing.assert_array_equal(got, expected)
+
+
+def _set_semijoin(heads, values, keys, negate):
+    """(head, value) pairs of the outer rows that [do not] hit ``keys``."""
+    wanted = set(keys.tolist())
+    return [(h, v) for h, v in zip(heads.tolist(), values.tolist())
+            if (v in wanted) != negate]
+
+
+class TestDenseMembership:
+    @settings(max_examples=300)
+    @given(member_values(), st.data())
+    def test_table_path_matches_np_isin(self, values, data):
+        keys = data.draw(member_keys(values))
+        assert dense_key_range(values) is not None and is_int64_exact(keys.dtype)
+        _assert_matches_isin(values, keys)
+
+    def test_offsets_that_overflow_the_value_dtype(self):
+        for dtype, lo, hi in ((np.int8, -50, 100), (np.int16, -20_000, 20_000)):
+            values = np.arange(lo, hi + 1, dtype=dtype)[::-1]
+            for keys in (
+                np.array([hi, lo, 0, hi - 1, -1], dtype=np.int64),
+                np.array([lo - 1, hi + 1, 2**40, -(2**40)], dtype=np.int64),
+                np.empty(0, dtype=dtype),
+            ):
+                _assert_matches_isin(values, keys)
+
+    @settings(max_examples=150)
+    @given(outside_the_rule())
+    def test_inputs_outside_the_rule_match_np_isin(self, case):
+        values, keys = case
+        assert dense_key_range(values) is None or not is_int64_exact(keys.dtype)
+        _assert_matches_isin(values, keys)
+
+    @settings(max_examples=150)
+    @given(
+        member_values(dtypes=[np.int64, np.int32]),
+        st.sampled_from(["slice", "bat", "candidates"]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_semijoin_matches_a_set(self, values, outer_kind, negate, data):
+        keys = data.draw(member_keys(values, dtypes=[np.int64, np.int32]))
+        inner = BAT(np.arange(len(keys)), keys, LNG)
+        dtype = LNG if values.dtype == np.int64 else INT
+        if outer_kind == "slice":
+            start = data.draw(st.integers(0, len(values) - 1))
+            outer = Column("o", dtype, values).slice(start, len(values))
+            heads, values = np.arange(start, len(values)), values[start:]
+        elif outer_kind == "bat":
+            heads = np.arange(len(values)) * 3 + 7
+            outer = BAT(heads, values, dtype)
+        else:
+            # A candidate list is its own head and tail.
+            values = heads = np.sort(values.astype(np.int64) - int(values.min()))
+            dtype, outer = OID, Candidates(heads)
+        got = SemiJoin(negate=negate).evaluate([outer, inner])
+        assert got.dtype is dtype and got.tail.dtype == dtype.numpy_dtype
+        assert list(zip(got.head.tolist(), got.tail.tolist())) == _set_semijoin(
+            heads, values, keys, negate
+        )
+
+    @settings(max_examples=100)
+    @given(member_values(dtypes=[np.int64, np.int32]), st.booleans(), st.data())
+    def test_in_list_mask_matches_np_isin(self, values, negate, data):
+        keys = data.draw(member_keys(values, dtypes=[np.int64]).filter(len))
+        got = InPredicate(keys.tolist(), negate=negate).mask(values, None)
+        np.testing.assert_array_equal(got, np.isin(values, keys, invert=negate))
+
+    WORDS = ("ant", "bee", "cat", "cow", "dog", "eel", "elk", "emu", "fox", "gnu")
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(st.integers(2, 7), min_size=1, max_size=60),
+        st.lists(st.sampled_from(WORDS + ("yak", "BEE")), min_size=1, max_size=4),
+        st.sampled_from(["%", "e%", "%o%", "_o_", "c%", "zz%"]),
+        st.booleans(),
+    )
+    def test_string_in_and_like_masks_match_np_isin(self, codes, words, pattern, negate):
+        # The column's codes cover only part of the dictionary, so some
+        # wanted codes fall outside the values' [lo, hi].
+        values = Column("s", STR, np.asarray(codes), dictionary=self.WORDS).values
+        wanted = [i for i, w in enumerate(self.WORDS) if w in words]
+        got = InPredicate(words, negate=negate).mask(values, self.WORDS)
+        np.testing.assert_array_equal(got, np.isin(values, wanted, invert=negate))
+        like = LikePredicate(pattern, negate=negate)
+        matching = like.matching_codes(self.WORDS)
+        np.testing.assert_array_equal(
+            like.mask(values, self.WORDS), np.isin(values, matching, invert=negate)
+        )

@@ -3,7 +3,8 @@
 Every other answer check in the suite compares the engine with itself
 (serial against parallel, memo on against off) or with numpy written
 for one query.  Here the sf=1 TPC-H catalog is loaded into an in-memory
-sqlite database and the join statements run through both.
+sqlite database and the join, anti-join, IN-list and LIKE statements run
+through both.
 
 Value mapping between the two:
 
@@ -17,6 +18,8 @@ Value mapping between the two:
   in sqlite, so the sqlite side divides by a float literal; the
   quotients agree to a relative 1e-12;
 * ``SUM`` over no rows is 0 in the engine and NULL in sqlite;
+* a statement of scalar aggregates is one scalar output per aggregate
+  in the engine and one row in sqlite;
 * ``LIKE`` is case-sensitive in the engine, so sqlite runs with
   ``case_sensitive_like``.
 """
@@ -50,6 +53,20 @@ BRAND_CONTAINER = (
     "WHERE l_partkey = p_partkey AND p_brand = '{brand}' "
     "AND p_container = '{container}' AND l_quantity < {qty}"
 )
+NOT_IN_ORDERS = (
+    "SELECT COUNT(*), SUM(c_acctbal) FROM customer WHERE c_acctbal > {bal} "
+    "AND c_custkey NOT IN (SELECT o_custkey FROM orders)"
+)
+CONTAINER_IN = (
+    "SELECT p_container, SUM(l_quantity) FROM lineitem, part "
+    "WHERE l_partkey = p_partkey "
+    "AND p_container IN ('SM BOX', 'LG CASE', 'JUMBO PACK', 'NO SUCH BOX') "
+    "GROUP BY p_container ORDER BY p_container"
+)
+TYPE_NOT_LIKE = (
+    "SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem, part "
+    "WHERE l_partkey = p_partkey AND p_type NOT LIKE '%BRASS%' AND p_size < 30"
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +92,11 @@ def sqlite(dataset):
 
 
 def engine_rows(dataset, sql: str):
-    (output,) = execute(plan_sql(sql, dataset.catalog), dataset.sim_config()).outputs
-    if isinstance(output, Scalar):
-        return output.value
+    outputs = execute(plan_sql(sql, dataset.catalog), dataset.sim_config()).outputs
+    if all(isinstance(output, Scalar) for output in outputs):
+        values = tuple(output.value for output in outputs)
+        return values[0] if len(values) == 1 else values
+    (output,) = outputs
     assert isinstance(output, BAT)
     return list(zip(output.head.tolist(), output.tail.tolist()))
 
@@ -112,3 +131,32 @@ def test_lineitem_part_on_brand_and_container(dataset, sqlite):
         answered += expected is not None
         assert got == pytest.approx(expected or 0, rel=1e-12), params
     assert answered >= 3
+
+
+def test_customers_without_orders(dataset, sqlite):
+    # The anti-join of customer keys against every order's customer key,
+    # after balance filters keeping all, some and none of the customers.
+    answered = []
+    for bal in (-100000, 500000, 999999):
+        sql = NOT_IN_ORDERS.format(bal=bal)
+        count, total = sqlite.execute(sql).fetchone()
+        assert engine_rows(dataset, sql) == (count, total or 0), bal
+        answered.append(count)
+    assert answered[0] > answered[1] > answered[2] == 0
+
+
+def test_string_in_list_grouped_by_container(dataset, sqlite):
+    codes = dataset.catalog.column("part", "p_container").dictionary.index
+    expected = [(codes(name), total) for name, total in sqlite.execute(CONTAINER_IN)]
+    assert len(expected) == 3  # 'NO SUCH BOX' matches no part
+    assert engine_rows(dataset, CONTAINER_IN) == expected
+
+
+def test_not_like_on_part_type(dataset, sqlite):
+    count, total = sqlite.execute(TYPE_NOT_LIKE).fetchone()
+    (brass,) = sqlite.execute(
+        "SELECT COUNT(*) FROM lineitem, part "
+        "WHERE l_partkey = p_partkey AND p_type LIKE '%BRASS%' AND p_size < 30"
+    ).fetchone()
+    assert count > 0 and brass > 0
+    assert engine_rows(dataset, TYPE_NOT_LIKE) == (count, total)

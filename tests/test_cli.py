@@ -393,3 +393,41 @@ class TestBench:
         report = json.loads((tmp_path / "BENCH_wallclock.json").read_text())
         assert report["schema"] == "repro/bench/scaleout/v1"
         assert not (tmp_path / "BENCH_scaleout.json").exists()
+
+    def test_quick_bench_defaults_to_the_quick_report(self, monkeypatch, tmp_path):
+        # The plain default is the committed full-mode report.
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "scaleout", "--quick", "--nodes", "1"]) == 0
+        report = json.loads((tmp_path / "BENCH_scaleout_quick.json").read_text())
+        assert report["schema"] == "repro/bench/scaleout/v1"
+        assert not (tmp_path / "BENCH_scaleout.json").exists()
+
+
+class TestServeLoadgen:
+    @pytest.fixture
+    def stops(self, monkeypatch):
+        """Records every ``ReproServer.stop`` call."""
+        from repro.serve import ReproServer
+
+        calls = []
+        stop = ReproServer.stop
+
+        async def recorded(server):
+            calls.append(server.port)
+            await stop(server)
+
+        monkeypatch.setattr(ReproServer, "stop", recorded)
+        return calls
+
+    def test_report_is_written(self, capsys, stops, tmp_path):
+        path = tmp_path / "slo.json"
+        assert main(["serve", "--loadgen", "tiny", "--report", str(path)]) == 0
+        assert f"wrote {path}" in capsys.readouterr().out
+        assert json.loads(path.read_text())["totals"]["completed"] > 0
+        assert len(stops) == 1
+
+    def test_unwritable_report_is_an_error(self, capsys, stops, tmp_path):
+        path = tmp_path / "missing" / "slo.json"
+        assert main(["serve", "--loadgen", "tiny", "--report", str(path)]) == 1
+        assert f"error: cannot write report to {path}" in capsys.readouterr().err
+        assert len(stops) == 1  # the server still shut down
