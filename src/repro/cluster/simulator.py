@@ -37,6 +37,8 @@ core.
 
 from __future__ import annotations
 
+import math
+
 from ..analysis.sanitize import Sanitizer
 from ..chaos.faults import FaultKind
 from ..chaos.injector import FaultInjector
@@ -166,7 +168,7 @@ class ClusterSimulator(Simulator):
         task = self._tasks[-1]
         if task.node is not entry.node or task.submission is not entry.sub:
             return
-        kind = entry.node.kind
+        kind = entry.sub.kind[entry.node.nid]
         if kind not in NET_KINDS:
             return
         sub = entry.sub
@@ -229,51 +231,34 @@ class ClusterSimulator(Simulator):
             super()._advance()
             return
         tasks = self._tasks
-        spec = self.config.machine
         core_busy = self.machine._core_busy
-        full_rate = spec.cycles_per_second
-        ht_rate = full_rate * (spec.hyperthread_yield / 2.0)
-        socket_demand = self._socket_mem_demand
-        socket_bw = spec.mem_bandwidth_gbps * 1e9
-        thread_cap = self._thread_cap
-        remote_factor = spec.numa_remote_factor
+        full_rate = self._full_rate
+        ht_rate = self._ht_rate
+        mem_rates = self._mem_rates
         link_bw = self.cluster.link.bandwidth_gbps * 1e9
         link_demand = self._link_demand
-
-        cpu_rates = []
-        mem_rates = []
-        net_rates = []
-        finish_in = []
-        dt = None
+        eps = _EPS
+        dt = math.inf
         for task in tasks:
-            thread = task.thread
-            cpu_rate = full_rate if core_busy[thread.core_id] == 1 else ht_rate
-            n_mem = socket_demand.get(thread.socket_id, 0)
-            if n_mem > 0:
-                mem_rate = socket_bw / n_mem
-                if thread_cap < mem_rate:
-                    mem_rate = thread_cap
-            else:
-                mem_rate = thread_cap
-            if task.remote:
-                mem_rate *= remote_factor
-            cpu_t = task.cpu_rem / cpu_rate if task.cpu_rem > _EPS else 0.0
-            mem_t = task.mem_rem / mem_rate if task.mem_rem > _EPS else 0.0
+            cpu_rate = full_rate if core_busy[task.core] == 1 else ht_rate
+            mem_rate = mem_rates[task.rate_slot]
+            cpu_rem = task.cpu_rem
+            mem_rem = task.mem_rem
+            cpu_t = cpu_rem / cpu_rate if cpu_rem > eps else 0.0
+            mem_t = mem_rem / mem_rate if mem_rem > eps else 0.0
             horizon = cpu_t if cpu_t > mem_t else mem_t
             if task.net_active:
                 net_rate = link_bw / link_demand[task.link]
                 net_t = task.lat_rem + (
-                    task.net_rem / net_rate if task.net_rem > _EPS else 0.0
+                    task.net_rem / net_rate if task.net_rem > eps else 0.0
                 )
                 if net_t > horizon:
                     horizon = net_t
-            else:
-                net_rate = 0.0
-            cpu_rates.append(cpu_rate)
-            mem_rates.append(mem_rate)
-            net_rates.append(net_rate)
-            finish_in.append(horizon)
-            if dt is None or horizon < dt:
+                task.net_rate = net_rate
+            task.cpu_rate = cpu_rate
+            task.mem_rate = mem_rate
+            task.horizon = horizon
+            if horizon < dt:
                 dt = horizon
         if self._timers:
             window = self._timers[0][0] - self.now
@@ -281,18 +266,18 @@ class ClusterSimulator(Simulator):
                 dt = window if window > 0.0 else 0.0
         self.now += dt
         completed = []
-        deadline = dt + _EPS
-        for i, task in enumerate(tasks):
-            done = finish_in[i] <= deadline
-            cpu_rem = task.cpu_rem - dt * cpu_rates[i]
-            mem_rem = task.mem_rem - dt * mem_rates[i]
+        deadline = dt + eps
+        for task in tasks:
+            done = task.horizon <= deadline
+            cpu_rem = task.cpu_rem - dt * task.cpu_rate
+            mem_rem = task.mem_rem - dt * task.mem_rate
             if done:
                 cpu_rem = 0.0
                 mem_rem = 0.0
                 completed.append(task)
             task.cpu_rem = cpu_rem if cpu_rem > 0.0 else 0.0
             task.mem_rem = mem_rem if mem_rem > 0.0 else 0.0
-            if task.mem_active and mem_rem <= _EPS:
+            if task.mem_active and mem_rem <= eps:
                 self._deactivate_mem(task)
             if task.net_active:
                 if done:
@@ -304,10 +289,10 @@ class ClusterSimulator(Simulator):
                 else:
                     spill = dt - task.lat_rem
                     task.lat_rem = 0.0
-                    net_rem = task.net_rem - spill * net_rates[i]
+                    net_rem = task.net_rem - spill * task.net_rate
                     task.net_rem = net_rem if net_rem > 0.0 else 0.0
                 if done or (
-                    task.lat_rem <= _EPS and task.net_rem <= _EPS
+                    task.lat_rem <= eps and task.net_rem <= eps
                 ):
                     self._deactivate_net(task)
         for task in completed:
@@ -319,7 +304,7 @@ class ClusterSimulator(Simulator):
     def _task_span_attrs(self, task: _Task) -> dict:
         if self.cluster.nodes == 1:
             return {}
-        return {"node": self.cluster.node_of_socket(task.thread.socket_id)}
+        return {"node": self.cluster.node_of_socket(task.socket)}
 
     def _complete(self, task: _Task) -> None:
         obs = self.observe
@@ -330,7 +315,7 @@ class ClusterSimulator(Simulator):
             and sub.failed is None
         )
         node_id = (
-            self.cluster.node_of_socket(task.thread.socket_id) if emit else -1
+            self.cluster.node_of_socket(task.socket) if emit else -1
         )
         super()._complete(task)
         if emit:

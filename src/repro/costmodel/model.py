@@ -8,16 +8,20 @@ and its bytes have been moved (at the thread's current bandwidth share).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..config import MachineSpec
 from ..operators.base import WorkProfile
 from .params import CostParams, DEFAULT_PARAMS
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Work:
-    """Simulated work for one operator execution."""
+    """Simulated work for one operator execution.
+
+    Made once per dispatched operator, so it is a plain slotted record
+    (not frozen, not hashable); treat it as read-only.
+    """
 
     cpu_cycles: float
     mem_bytes: float
@@ -33,6 +37,19 @@ class CostContext:
     machine: MachineSpec
     data_scale: float
     params: CostParams = DEFAULT_PARAMS
+    #: Machine constants :func:`compute_work` reads on every call,
+    #: derived once: the shared L3 size in bytes and the fixed
+    #: per-operator dispatch overhead in cycles.
+    l3_bytes: int = field(init=False, repr=False, compare=False)
+    dispatch_cycles: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "l3_bytes", self.machine.l3_bytes)
+        object.__setattr__(
+            self,
+            "dispatch_cycles",
+            self.params.dispatch_seconds * self.machine.cycles_per_second,
+        )
 
 
 def compute_work(
@@ -67,12 +84,12 @@ def compute_work(
     # per probe -- which is why spilling hash joins are bandwidth-bound
     # and scale worse than L3-resident ones (Figure 15 / Table 3).
     build_bytes = profile.build_bytes * scale
-    if build_bytes > ctx.machine.l3_bytes and profile.random_reads > 0:
+    if build_bytes > ctx.l3_bytes and profile.random_reads > 0:
         misses = profile.random_reads * scale
         mem_bytes += misses * p.miss_line_bytes
 
     # Fixed interpretation/scheduling overhead per operator execution.
-    cycles += p.dispatch_seconds * ctx.machine.cycles_per_second
+    cycles += ctx.dispatch_cycles
     return Work(cpu_cycles=cycles, mem_bytes=mem_bytes)
 
 

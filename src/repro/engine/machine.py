@@ -39,6 +39,7 @@ class MachineState:
     _core_busy: list[int] = field(default_factory=list, repr=False)
     _socket_busy: list[int] = field(default_factory=list, repr=False)
     _busy_total: int = field(default=0, repr=False)
+    _score_base: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if not self.threads:
@@ -53,6 +54,8 @@ class MachineState:
         self._core_busy = [0] * n_cores
         self._socket_busy = [0] * n_sockets
         self._busy_total = 0
+        # A core or socket never has more busy threads than the machine.
+        self._score_base = len(self.threads) + 1
         for t in self.threads:  # honour pre-set busy flags
             if t.busy:
                 self._core_busy[t.core_id] += 1
@@ -98,14 +101,20 @@ class MachineState:
             return None
         core_busy = self._core_busy
         socket_busy = self._socket_busy
+        # (core occupancy, socket occupancy) ranked lexicographically as
+        # one integer; both counts stay below ``_score_base``.
+        base = self._score_base
         best: HardwareThread | None = None
-        best_score = (0, 0)
+        best_score = 0
         for t in self.threads:
             if t.busy:
                 continue
             if sockets is not None and t.socket_id not in sockets:
                 continue
-            score = (core_busy[t.core_id], socket_busy[t.socket_id])
+            score = core_busy[t.core_id] * base + socket_busy[t.socket_id]
+            if score == 0:
+                # An idle core on an idle socket: nothing ranks lower.
+                return t
             if best is None or score < best_score:
                 # thread_id ascends, so the first minimum wins the tie.
                 best = t

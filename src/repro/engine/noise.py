@@ -20,10 +20,12 @@ class NoiseModel:
         self.config = config
         self.rng = rng
         self.peaks_injected = 0
+        #: ``config.enabled``, read once: every dispatch asks.
+        self.enabled = config.enabled
 
     def factor(self) -> float:
         """Multiplier >= some small positive bound; 1.0 when disabled."""
-        if not self.config.enabled:
+        if not self.enabled:
             return 1.0
         factor = 1.0
         if self.config.jitter > 0:

@@ -13,9 +13,15 @@ from dataclasses import dataclass, field
 from ..plan.graph import PlanNode
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OpRecord:
-    """Profile of one operator execution."""
+    """Profile of one operator execution.
+
+    One is made per completed task, so it is a plain slotted record:
+    not frozen (a frozen ``__init__`` pays a ``object.__setattr__`` per
+    field) and, having ``__eq__`` but no ``__hash__``, not hashable.
+    Treat it as read-only.
+    """
 
     node: PlanNode
     kind: str

@@ -17,20 +17,36 @@ naturally -- this is what makes adaptively parallelized plans
 "resource-contention aware" in the reproduction, as on real hardware.
 
 Hot-path notes: the event loop runs once per operator dispatch and once
-per completion, tens of thousands of times per adaptive instance, so the
-per-event work is kept O(running tasks): ready queues are deques,
-completed tasks are removed by swap-with-last, and the per-socket count
-of memory-bound tasks (the bandwidth-sharing denominator) is maintained
-incrementally instead of rescanning every task at every event.
+per completion, tens of thousands of times per adaptive instance, so
+every value is computed as rarely as its inputs change:
+
+* per plan, in its :class:`PlanLayout`: the dataflow counts and
+  consumer lists, each node's kind and description, and which input of
+  a join builds its hash table;
+* per simulator: the machine's rates and NUMA mode, read from the spec
+  once;
+* per socket, whenever its count of memory-bound tasks changes: the
+  memory rate of a local and of a remote reader there;
+* per task, on the :class:`_Task` itself: its thread's core and socket,
+  its memory-rate slot and its work profile, so dispatch, the sweep and
+  completion need no side tables;
+* per event, in the sweep (:meth:`Simulator._advance`): each running
+  task's cpu rate, time to finish and progress -- the only work that
+  grows with the number of running tasks.
+
+Ready queues are deques and completed tasks are removed by
+swap-with-last.  None of this reorders a floating-point operation, so
+simulated results are bit-identical to the straightforward loop.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..analysis.sanitize import Sanitizer
 from ..chaos.faults import FaultKind
@@ -68,12 +84,16 @@ class PlanLayout:
 
     Everything a submission needs that depends on the plan alone: the
     initial input-wait and consumer counts, the consumer lists, the
-    leaves, the output set and -- when the simulator needs them -- node
-    fingerprints (memoization) and plan-relative node indices (fault
-    injection).  A :class:`Simulator` builds one per distinct plan
-    object and shares it between every submission of that plan, so a
-    closed-loop client re-issuing a template pays two dict copies per
-    submission instead of a plan copy and two graph walks.
+    leaves, the output set, each node's operator kind and description
+    (what every :class:`OpRecord` of the node carries), the build input
+    of each two-input join (whose hash table later clones reuse) and --
+    when the simulator needs them -- node fingerprints (memoization)
+    and plan-relative node indices (fault injection).  A
+    :class:`Simulator` builds one per distinct plan object and shares it
+    between every submission of that plan, so a closed-loop client
+    re-issuing a template pays two dict copies per submission instead of
+    a plan copy and two graph walks, and no task recomputes a per-plan
+    value.
 
     Submitted plans are therefore read-only: the scheduler keeps every
     per-execution value in the submission (keyed by ``nid``), never in
@@ -89,6 +109,9 @@ class PlanLayout:
         "consumers",
         "is_output",
         "leaves",
+        "kind",
+        "describe",
+        "build_input",
         "fingerprints",
         "node_index",
     )
@@ -102,8 +125,18 @@ class PlanLayout:
         self.waiting: dict[int, int] = {}
         self.pending_consumers: dict[int, int] = {node.nid: 0 for node in nodes}
         self.consumers: dict[int, list[PlanNode]] = {}
+        self.kind: dict[int, str] = {}
+        self.describe: dict[int, str] = {}
+        # Join nid -> nid of its build (inner) input.
+        self.build_input: dict[int, int] = {}
         for node in nodes:
-            self.waiting[node.nid] = len(node.inputs)
+            nid = node.nid
+            kind = node.op.kind
+            self.kind[nid] = kind
+            self.describe[nid] = node.describe()
+            if kind in ("join", "semijoin") and len(node.inputs) == 2:
+                self.build_input[nid] = node.inputs[1].nid
+            self.waiting[nid] = len(node.inputs)
             for child in node.inputs:
                 self.pending_consumers[child.nid] += 1
                 self.consumers.setdefault(child.nid, []).append(node)
@@ -148,6 +181,9 @@ class _Submission:
         "ready",
         "is_output",
         "consumers",
+        "kind",
+        "describe",
+        "build_input",
         "live_bytes",
         "fingerprints",
         "node_index",
@@ -179,6 +215,9 @@ class _Submission:
         self.pending_consumers: dict[int, int] = dict(layout.pending_consumers)
         self.is_output = layout.is_output
         self.consumers: dict[int, list[PlanNode]] = layout.consumers
+        self.kind: dict[int, str] = layout.kind
+        self.describe: dict[int, str] = layout.describe
+        self.build_input: dict[int, int] = layout.build_input
         self.remaining = layout.size
         self.running = 0
         self.live_bytes = 0.0
@@ -206,12 +245,22 @@ class _Submission:
 
 
 class _Task:
-    """A running operator."""
+    """A running operator.
+
+    Everything the event loop reads per task is a slot of the task: the
+    core and socket of its thread, its slot in the simulator's memory
+    rate table, its work profile (for the :class:`OpRecord`), and the
+    rates and horizon the current event's sweep computed for it.
+    """
 
     __slots__ = (
         "submission",
         "node",
         "thread",
+        "core",
+        "socket",
+        "rate_slot",
+        "profile",
         "cpu_rem",
         "mem_rem",
         "cpu_work",
@@ -220,10 +269,14 @@ class _Task:
         "remote",
         "index",
         "mem_active",
+        "cpu_rate",
+        "mem_rate",
+        "horizon",
         "net_rem",
         "lat_rem",
         "link",
         "net_active",
+        "net_rate",
     )
 
     def __init__(
@@ -234,11 +287,18 @@ class _Task:
         cpu_work: float,
         mem_work: float,
         start: float,
-        remote: bool = False,
+        remote: bool,
+        profile: WorkProfile,
     ) -> None:
         self.submission = submission
         self.node = node
         self.thread = thread
+        self.core = thread.core_id
+        self.socket = thread.socket_id
+        #: Index into ``Simulator._mem_rates``: the socket's local rate,
+        #: or the remote one right after it.
+        self.rate_slot = 2 * thread.socket_id + (1 if remote else 0)
+        self.profile = profile
         self.cpu_work = cpu_work
         self.mem_work = mem_work
         self.cpu_rem = cpu_work
@@ -250,15 +310,21 @@ class _Task:
         #: True while this task still counts toward its socket's
         #: memory-bandwidth demand.
         self.mem_active = mem_work > _EPS
+        #: Rates and time to finish as of the current event's sweep.
+        self.cpu_rate = 0.0
+        self.mem_rate = 0.0
+        self.horizon = 0.0
         #: Cross-node transfer state (cluster simulation only): bytes
         #: left on the wire, latency left before the transfer starts,
-        #: the NIC (destination node id) being shared, and whether the
-        #: task still counts toward that NIC's processor-sharing
-        #: demand.  Single-machine tasks never activate these.
+        #: the NIC (destination node id) being shared, whether the task
+        #: still counts toward that NIC's processor-sharing demand, and
+        #: its share as of the current sweep.  Single-machine tasks
+        #: never activate these.
         self.net_rem = 0.0
         self.lat_rem = 0.0
         self.link = -1
         self.net_active = False
+        self.net_rate = 0.0
 
 
 class _PendingDispatch:
@@ -371,9 +437,17 @@ class Simulator:
             faults.observe = observe
         if observe is not None and evalpool is not None and evalpool.observe is None:
             evalpool.observe = observe
-        self.machine = MachineState(config.machine)
-        self.cost_ctx = CostContext(machine=config.machine, data_scale=config.data_scale)
+        spec = config.machine
+        self.machine = MachineState(spec)
+        self.cost_ctx = CostContext(machine=spec, data_scale=config.data_scale)
         self.noise = NoiseModel(config.noise, config.rng())
+        # Machine constants the per-task and per-event paths read.
+        self._data_scale = config.data_scale
+        self._strict_numa = not spec.numa_first_touch
+        self._full_rate = spec.cycles_per_second
+        self._ht_rate = self._full_rate * (spec.hyperthread_yield / 2.0)
+        self._socket_bw = spec.mem_bandwidth_gbps * 1e9
+        self._remote_factor = spec.numa_remote_factor
         self.now = 0.0
         self._sid_counter = itertools.count()
         self._submissions: dict[int, _Submission] = {}
@@ -381,8 +455,7 @@ class Simulator:
         self._layouts: dict[Plan, PlanLayout] = {}
         self._queue: list[_Submission] = []  # FIFO across unfinished submissions
         self._tasks: list[_Task] = []
-        self._thread_cap = thread_bandwidth_cap(config.machine, self.cost_ctx.params)
-        self._last_profiles: dict[tuple[int, int], WorkProfile] = {}
+        self._thread_cap = thread_bandwidth_cap(spec, self.cost_ctx.params)
         # Hash tables are cached on their build input (per submission):
         # the first join over an inner node pays the build, later clones
         # probe the shared table.  Keyed by sid so a finished
@@ -391,8 +464,16 @@ class Simulator:
         # Home socket of each produced intermediate (strict-NUMA mode).
         self._home_socket: dict[int, dict[int, int]] = {}
         # Number of memory-bound running tasks per socket -- the
-        # bandwidth-sharing denominator, maintained incrementally.
-        self._socket_mem_demand: dict[int, int] = {}
+        # bandwidth-sharing denominator, maintained incrementally -- and
+        # the memory rate it gives a task there: ``_mem_rates[2 * s]``
+        # for a local reader on socket ``s``, ``[2 * s + 1]`` for a
+        # remote one.  Rates are recomputed only when a count changes.
+        sockets = len(self.machine._socket_busy)
+        self._socket_mem_demand = [0] * sockets
+        self._mem_rates = [
+            self._thread_cap,
+            self._thread_cap * self._remote_factor,
+        ] * sockets
         # Simulated-time timers: (when, seq, callback) heap.  The seq
         # tiebreak keeps same-instant callbacks firing in registration
         # order, which the determinism guarantees depend on.
@@ -580,17 +661,21 @@ class Simulator:
         are deferred to :meth:`_commit_dispatch`.
         """
         batch: list[_PendingDispatch] = []
+        machine = self.machine
+        total = len(machine.threads)
+        if machine._busy_total == total:
+            return batch
         progress = True
         while progress:
             progress = False
             for sub in self._queue:
                 if not sub.ready or sub.running >= sub.max_threads:
                     continue
-                thread = self.machine.pick_thread()
+                thread = machine.pick_thread()
                 if thread is None:
                     return batch
                 node = sub.ready.popleft()
-                self.machine.acquire(thread)
+                machine.acquire(thread)
                 sub.running += 1
                 entry = _PendingDispatch(sub, node, thread)
                 if self.faults is not None:
@@ -604,6 +689,9 @@ class Simulator:
                         now=self.now,
                     )
                 batch.append(entry)
+                if machine._busy_total == total:
+                    # Every thread is claimed: nothing more can start.
+                    return batch
                 progress = True
         return batch
 
@@ -751,19 +839,19 @@ class Simulator:
                 self._fail_submission(sub, thread, settled.error)
                 return
             output, profile = settled
-        sub.values[node.nid] = output
+        nid = node.nid
+        sub.values[nid] = output
         amortize = False
-        if node.kind in ("join", "semijoin") and len(node.inputs) == 2:
+        inner = sub.build_input.get(nid)
+        if inner is not None:
             built = self._hash_built.setdefault(sub.sid, set())
-            inner_nid = node.inputs[1].nid
-            amortize = inner_nid in built
-            built.add(inner_nid)
+            amortize = inner in built
+            built.add(inner)
         work = compute_work(
-            node.kind, profile, self.cost_ctx, amortize_build=amortize
+            sub.kind[nid], profile, self.cost_ctx, amortize_build=amortize
         )
-        self._last_profiles[(sub.sid, node.nid)] = profile
         # Memory claims: the new intermediate is now live.
-        sub.live_bytes += intermediate_nbytes(output) * self.config.data_scale
+        sub.live_bytes += intermediate_nbytes(output) * self._data_scale
         if sub.live_bytes > sub.profile.peak_memory_bytes:
             sub.profile.peak_memory_bytes = sub.live_bytes
         factor = self.noise.factor()
@@ -776,16 +864,14 @@ class Simulator:
             elif fault.kind is FaultKind.MEM_PRESSURE:
                 mem_extra = fault.magnitude
         remote = False
-        if not self.config.machine.numa_first_touch and node.inputs:
+        if self._strict_numa and node.inputs:
             # Strict NUMA: reading inputs homed on another socket is slow.
+            socket = thread.socket_id
             homes_of_sub = self._home_socket.get(sub.sid)
             if homes_of_sub is None:
                 homes_of_sub = {}
-            homes = [
-                homes_of_sub.get(child.nid, thread.socket_id)
-                for child in node.inputs
-            ]
-            remote_count = sum(1 for h in homes if h != thread.socket_id)
+            homes = [homes_of_sub.get(child.nid, socket) for child in node.inputs]
+            remote_count = sum(1 for h in homes if h != socket)
             remote = remote_count * 2 > len(homes)
         # The thread was acquired (and ``sub.running`` advanced) at
         # collection time so the placement policy saw it as busy.
@@ -793,17 +879,17 @@ class Simulator:
             sub,
             node,
             thread,
-            cpu_work=max(work.cpu_cycles * factor, 1.0),
-            mem_work=max(work.mem_bytes * factor * mem_extra, 0.0),
-            start=self.now,
-            remote=remote,
+            max(work.cpu_cycles * factor, 1.0),
+            max(work.mem_bytes * factor * mem_extra, 0.0),
+            self.now,
+            remote,
+            profile,
         )
-        task.index = len(self._tasks)
-        self._tasks.append(task)
+        tasks = self._tasks
+        task.index = len(tasks)
+        tasks.append(task)
         if task.mem_active:
-            demand = self._socket_mem_demand
-            socket = thread.socket_id
-            demand[socket] = demand.get(socket, 0) + 1
+            self._shift_mem_demand(task.socket, 1)
 
     # ------------------------------------------------------------------
     # Submission failure
@@ -858,59 +944,58 @@ class Simulator:
     # ------------------------------------------------------------------
     # Time advance
     # ------------------------------------------------------------------
+    def _shift_mem_demand(self, socket: int, delta: int) -> None:
+        """Change a socket's memory-demand count and re-derive its rates.
+
+        A task's memory rate is the socket's bandwidth split among its
+        memory-bound tasks, capped per thread, and scaled by the remote
+        factor for a remote reader.
+        """
+        demand = self._socket_mem_demand
+        count = demand[socket] + delta
+        demand[socket] = count
+        rate = self._thread_cap
+        if count > 0:
+            share = self._socket_bw / count
+            if share <= rate:
+                rate = share
+        rates = self._mem_rates
+        rates[2 * socket] = rate
+        rates[2 * socket + 1] = rate * self._remote_factor
+
     def _deactivate_mem(self, task: _Task) -> None:
         """Drop a task from its socket's memory-demand count."""
         task.mem_active = False
-        demand = self._socket_mem_demand
-        socket = task.thread.socket_id
-        left = demand[socket] - 1
-        if left:
-            demand[socket] = left
-        else:
-            del demand[socket]
+        self._shift_mem_demand(task.socket, -1)
 
     def _advance(self) -> None:
         # The innermost simulator loop: runs once per event over every
-        # running task, so the rate model is inlined (the cpu rate is
-        # ``MachineState.compute_rate``'s math; memory bandwidth is shared
-        # by the socket's memory-active tasks, capped per thread and
-        # scaled for remote access) and per-task values are kept in
-        # parallel lists instead of tuples.
+        # running task, so the rate model is inlined.  The cpu rate is
+        # ``MachineState.compute_rate``'s math (a running task's thread
+        # is busy, so a sibling is busy iff more than one thread of the
+        # core is); the memory rate comes from the per-socket table
+        # ``_shift_mem_demand`` keeps.  The first pass stores each
+        # task's rates and horizon on the task; the second settles the
+        # step.
         tasks = self._tasks
-        spec = self.config.machine
         core_busy = self.machine._core_busy
-        full_rate = spec.cycles_per_second
-        ht_rate = full_rate * (spec.hyperthread_yield / 2.0)
-        socket_demand = self._socket_mem_demand
-        socket_bw = spec.mem_bandwidth_gbps * 1e9
-        thread_cap = self._thread_cap
-        remote_factor = spec.numa_remote_factor
-
-        cpu_rates = []
-        mem_rates = []
-        finish_in = []
-        dt = None
+        full_rate = self._full_rate
+        ht_rate = self._ht_rate
+        mem_rates = self._mem_rates
+        eps = _EPS
+        dt = math.inf
         for task in tasks:
-            thread = task.thread
-            # A running task's thread is busy, so a sibling is busy iff
-            # more than one thread of the core is.
-            cpu_rate = full_rate if core_busy[thread.core_id] == 1 else ht_rate
-            n_mem = socket_demand.get(thread.socket_id, 0)
-            if n_mem > 0:
-                mem_rate = socket_bw / n_mem
-                if thread_cap < mem_rate:
-                    mem_rate = thread_cap
-            else:
-                mem_rate = thread_cap
-            if task.remote:
-                mem_rate *= remote_factor
-            cpu_t = task.cpu_rem / cpu_rate if task.cpu_rem > _EPS else 0.0
-            mem_t = task.mem_rem / mem_rate if task.mem_rem > _EPS else 0.0
+            cpu_rate = full_rate if core_busy[task.core] == 1 else ht_rate
+            mem_rate = mem_rates[task.rate_slot]
+            cpu_rem = task.cpu_rem
+            mem_rem = task.mem_rem
+            cpu_t = cpu_rem / cpu_rate if cpu_rem > eps else 0.0
+            mem_t = mem_rem / mem_rate if mem_rem > eps else 0.0
             horizon = cpu_t if cpu_t > mem_t else mem_t
-            cpu_rates.append(cpu_rate)
-            mem_rates.append(mem_rate)
-            finish_in.append(horizon)
-            if dt is None or horizon < dt:
+            task.cpu_rate = cpu_rate
+            task.mem_rate = mem_rate
+            task.horizon = horizon
+            if horizon < dt:
                 dt = horizon
         if self._timers:
             # Never step past a timer deadline: the callback (a backoff
@@ -921,59 +1006,58 @@ class Simulator:
                 dt = window if window > 0.0 else 0.0
         self.now += dt
         completed = []
-        deadline = dt + _EPS
-        for i, task in enumerate(tasks):
-            cpu_rem = task.cpu_rem - dt * cpu_rates[i]
-            mem_rem = task.mem_rem - dt * mem_rates[i]
-            if finish_in[i] <= deadline:
-                cpu_rem = 0.0
-                mem_rem = 0.0
+        deadline = dt + eps
+        for task in tasks:
+            if task.horizon <= deadline:
+                task.cpu_rem = 0.0
+                task.mem_rem = 0.0
                 completed.append(task)
+                if task.mem_active:
+                    self._deactivate_mem(task)
+                continue
+            cpu_rem = task.cpu_rem - dt * task.cpu_rate
+            mem_rem = task.mem_rem - dt * task.mem_rate
             task.cpu_rem = cpu_rem if cpu_rem > 0.0 else 0.0
             task.mem_rem = mem_rem if mem_rem > 0.0 else 0.0
-            if task.mem_active and mem_rem <= _EPS:
+            if task.mem_active and mem_rem <= eps:
                 self._deactivate_mem(task)
         for task in completed:
             self._complete(task)
 
-    def _remove_task(self, task: _Task) -> None:
-        """O(1) removal: swap the last running task into ``task``'s slot."""
+    def _complete(self, task: _Task) -> None:
+        # O(1) removal: swap the last running task into this one's slot.
         tasks = self._tasks
         last = tasks.pop()
         if last is not task:
             tasks[task.index] = last
             last.index = task.index
         task.index = -1
-
-    def _complete(self, task: _Task) -> None:
-        self._remove_task(task)
         self.machine.release(task.thread)
         sub = task.submission
         if sub.failed is not None:
             # A task of an already-failed submission draining out: no
             # consumers to wake, no profile to record.
-            self._last_profiles.pop((sub.sid, task.node.nid), None)
             sub.running -= 1
             if sub.running == 0:
                 self._settle_failed(sub)
             return
-        if not self.config.machine.numa_first_touch:
-            self._home_socket.setdefault(sub.sid, {})[task.node.nid] = (
-                task.thread.socket_id
-            )
+        node = task.node
+        nid = node.nid
+        if self._strict_numa:
+            self._home_socket.setdefault(sub.sid, {})[nid] = task.socket
         sub.running -= 1
         sub.remaining -= 1
-        node = task.node
-        wp = self._last_profiles.pop((sub.sid, node.nid))
+        now = self.now
+        wp = task.profile
         sub.profile.records.append(
             OpRecord(
                 node=node,
-                kind=node.kind,
-                describe=node.describe(),
+                kind=sub.kind[nid],
+                describe=sub.describe[nid],
                 start=task.start,
-                end=self.now,
+                end=now,
                 thread_id=task.thread.thread_id,
-                socket_id=task.thread.socket_id,
+                socket_id=task.socket,
                 cpu_cycles=task.cpu_work,
                 mem_bytes=task.mem_work,
                 tuples_in=wp.tuples_in,
@@ -982,49 +1066,61 @@ class Simulator:
         )
         obs = self.observe
         if obs is not None:
+            kind = sub.kind[nid]
             # One task span per OpRecord, same interval and affiliation
             # -- the 1:1 mapping the golden-trace suite asserts.
             obs.tracer.add(
-                node.kind,
+                kind,
                 "task",
                 task.start,
-                self.now,
+                now,
                 parent=sub.span,
-                op=node.describe(),
+                op=sub.describe[nid],
                 thread=task.thread.thread_id,
-                socket=task.thread.socket_id,
+                socket=task.socket,
                 cpu_cycles=task.cpu_work,
                 mem_bytes=task.mem_work,
                 tuples_in=wp.tuples_in,
                 tuples_out=wp.tuples_out,
                 **self._task_span_attrs(task),
             )
-            duration = self.now - task.start
+            duration = now - task.start
             obs.metrics.counter(
-                "repro_tasks_total", "completed operator tasks", kind=node.kind
+                "repro_tasks_total", "completed operator tasks", kind=kind
             ).inc()
             obs.metrics.counter(
                 "repro_task_sim_seconds_total",
                 "simulated seconds by operator kind",
-                kind=node.kind,
+                kind=kind,
             ).inc(duration)
             obs.metrics.histogram(
                 "repro_task_sim_seconds", help="simulated task durations"
             ).observe(duration)
         # Wake up consumers whose inputs are now complete.
-        for consumer in self._consumers_of(sub, node):
-            sub.waiting[consumer.nid] -= 1
-            if sub.waiting[consumer.nid] == 0:
+        waiting = sub.waiting
+        for consumer in sub.consumers.get(nid, ()):
+            left = waiting[consumer.nid] - 1
+            waiting[consumer.nid] = left
+            if left == 0:
                 sub.ready.append(consumer)
-        self._release_value(sub, node)
-        if sub.finished:
-            sub.profile.finish_time = self.now
+        # Free input intermediates once their last consumer has finished.
+        pending = sub.pending_consumers
+        for child in node.inputs:
+            child_nid = child.nid
+            left = pending[child_nid] - 1
+            pending[child_nid] = left
+            if left == 0 and child_nid not in sub.is_output:
+                freed = sub.values.pop(child_nid, None)
+                if freed is not None:
+                    sub.live_bytes -= intermediate_nbytes(freed) * self._data_scale
+        if sub.remaining == 0:
+            sub.profile.finish_time = now
             self._queue.remove(sub)
             self._hash_built.pop(sub.sid, None)
             self._home_socket.pop(sub.sid, None)
             sub.release_bookkeeping()
             if obs is not None and sub.span is not None:
-                obs.tracer.end(sub.span, self.now)
+                obs.tracer.end(sub.span, now)
                 obs.metrics.counter(
                     "repro_submissions_completed_total", "submissions that finished"
                 ).inc()
@@ -1039,20 +1135,3 @@ class Simulator:
         node dimension on multi-node runs.
         """
         return {}
-
-    def _consumers_of(self, sub: _Submission, node: PlanNode) -> Sequence[PlanNode]:
-        return sub.consumers.get(node.nid, ())
-
-    def _release_value(self, sub: _Submission, node: PlanNode) -> None:
-        # Free input intermediates once their last consumer has finished.
-        for child in node.inputs:
-            sub.pending_consumers[child.nid] -= 1
-            if (
-                sub.pending_consumers[child.nid] == 0
-                and child.nid not in sub.is_output
-            ):
-                freed = sub.values.pop(child.nid, None)
-                if freed is not None:
-                    sub.live_bytes -= (
-                        intermediate_nbytes(freed) * self.config.data_scale
-                    )
