@@ -525,9 +525,7 @@ def _cmd_run(args) -> int:
     if args.show_plan:
         print(format_plan(plan))
     if args.dot:
-        with open(args.dot, "w") as handle:
-            handle.write(to_dot(plan))
-        print(f"wrote {args.dot}")
+        _emit(to_dot(plan), args.dot, "dot")
     result = execute(plan, config)
     print(f"{label}: {result.response_time * 1000:.2f} ms simulated")
     print(f"plan: {plan_stats(plan).format()}")
@@ -680,11 +678,12 @@ def _cmd_analyze(args) -> int:
     report = analyze_files(paths)
     if args.write_baseline:
         baseline = Baseline.from_report(report)
-        with open(args.write_baseline, "w") as handle:
-            handle.write(baseline.to_json())
-        print(
-            f"wrote {len(baseline.suppressions)} suppression(s) to "
-            f"{args.write_baseline}"
+        _emit(
+            baseline.to_json(),
+            args.write_baseline,
+            "baseline",
+            note=f"wrote {len(baseline.suppressions)} suppression(s) to "
+            f"{args.write_baseline}",
         )
         return 0
     suppressed_count = 0
@@ -693,8 +692,8 @@ def _cmd_analyze(args) -> int:
         suppressed_count = len(suppressed)
     registry = None if args.no_registry else build_registry()
     if args.certificates and registry is not None:
-        with open(args.certificates, "w") as handle:
-            handle.write(registry.to_json())
+        # Silent: with --json, stdout carries only the report.
+        _emit(registry.to_json(), args.certificates, "certificates", note="")
     if args.json:
         extra = {"subject": "codebase", "suppressed": suppressed_count}
         if registry is not None:
@@ -886,7 +885,13 @@ def _observed_run(args):
     return name, observer
 
 
-def _emit(text: str, out: str | None, what: str) -> None:
+def _emit(text: str, out: str | None, what: str, *, note: str | None = None) -> None:
+    """Print ``text``, or write it to ``out`` and print ``note``.
+
+    ``note`` defaults to ``wrote OUT``; ``""`` prints nothing.  An
+    unwritable ``out`` is a :class:`ReproError` naming ``what``, which
+    the CLI reports as ``error: ...`` with exit code 1.
+    """
     if out is None:
         print(text, end="" if text.endswith("\n") else "\n")
         return
@@ -897,7 +902,9 @@ def _emit(text: str, out: str | None, what: str) -> None:
                 handle.write("\n")
     except OSError as exc:
         raise ReproError(f"cannot write {what} to {out}: {exc}") from exc
-    print(f"wrote {out}")
+    note = f"wrote {out}" if note is None else note
+    if note:
+        print(note)
 
 
 def _cmd_trace(args) -> int:
@@ -958,6 +965,14 @@ async def _serve_async(args) -> int:
             raise ReproError("--gate needs --loadgen: it gates the loadgen report")
         for gate in args.gate:
             parse_gate(gate)  # a malformed gate fails before the load runs
+    tenants = None
+    if args.tenants is not None:
+        # Read before the dataset is generated: a bad file fails fast.
+        try:
+            text = Path(args.tenants).read_text()
+        except OSError as exc:
+            raise ReproError(f"cannot read tenants file: {exc}") from exc
+        tenants = parse_tenants(text)
     if args.workload == "tpch":
         dataset = TpchDataset(scale_factor=args.sf if args.sf else 1)
     else:
@@ -965,9 +980,6 @@ async def _serve_async(args) -> int:
     config = _config(args, dataset)
     if args.seed is not None:
         config = config.with_seed(args.seed)
-    tenants = None
-    if args.tenants is not None:
-        tenants = parse_tenants(Path(args.tenants).read_text())
     server = ReproServer(
         config,
         dataset.catalog,

@@ -431,3 +431,43 @@ class TestServeLoadgen:
         assert main(["serve", "--loadgen", "tiny", "--report", str(path)]) == 1
         assert f"error: cannot write report to {path}" in capsys.readouterr().err
         assert len(stops) == 1  # the server still shut down
+
+
+class TestFileArguments:
+    """A file argument the CLI cannot open is ``error: ...`` and exit 1,
+    never a traceback."""
+
+    @pytest.fixture
+    def kernel(self, tmp_path):
+        path = tmp_path / "kernel.py"
+        path.write_text("def f(x):\n    return x + 1\n")
+        return str(path)
+
+    def test_unwritable_dot_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "plan.dot"
+        code = main(
+            ["run", "SELECT COUNT(*) FROM nation", "--sf", "1", "--dot", str(path)]
+        )
+        assert code == 1
+        assert f"error: cannot write dot to {path}" in capsys.readouterr().err
+
+    def test_unwritable_baseline_is_an_error(self, capsys, tmp_path, kernel):
+        path = tmp_path / "missing" / "baseline.json"
+        code = main(
+            ["analyze", kernel, "--no-registry", "--write-baseline", str(path)]
+        )
+        assert code == 1
+        assert f"error: cannot write baseline to {path}" in capsys.readouterr().err
+
+    def test_unwritable_certificates_is_an_error(self, capsys, tmp_path, kernel):
+        path = tmp_path / "missing" / "certs.json"
+        assert main(["analyze", kernel, "--certificates", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot write certificates to {path}" in err
+
+    def test_missing_tenants_file_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "tenants.json"
+        assert main(["serve", "--loadgen", "tiny", "--tenants", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot read tenants file" in err
+        assert str(path) in err
