@@ -250,7 +250,9 @@ def is_int64_exact(dtype: np.dtype) -> bool:
     return dtype.kind == "i" or (dtype.kind == "u" and dtype.itemsize < 8)
 
 
-def dense_key_range(keys: np.ndarray) -> tuple[int, int] | None:
+def dense_key_range(
+    keys: np.ndarray, bounds: tuple[int, int] | None = None
+) -> tuple[int, int] | None:
     """``(lo, hi)`` of keys that qualify for direct addressing, else None.
 
     The dense-key rule used by the join and group-by kernels: non-empty
@@ -258,17 +260,41 @@ def dense_key_range(keys: np.ndarray) -> tuple[int, int] | None:
     ``len(keys) + DENSE_KEY_SLACK``.  A table indexed by ``key - lo`` is
     then no larger than the input plus the slack.  Keys outside the rule
     (float, wide spans, empty) keep the kernels' sort-based paths.
+
+    ``bounds`` is ``(keys.min(), keys.max())`` when the caller already
+    knows it (:func:`full_column_bounds`); otherwise two passes find it.
     """
     if len(keys) == 0 or not is_int64_exact(keys.dtype):
         return None
-    lo, hi = int(keys.min()), int(keys.max())
+    lo, hi = bounds if bounds is not None else (int(keys.min()), int(keys.max()))
     if hi - lo + 1 > len(keys) + DENSE_KEY_SLACK:
         return None
     return lo, hi
 
 
+def full_column_bounds(value: Intermediate) -> tuple[int, int] | None:
+    """The base column's :meth:`~repro.storage.column.Column.int_bounds`
+    when ``value`` is a slice over the whole column, else None.
+
+    Such a slice's values are the column's, so the dense-key rule can
+    take their ``(min, max)`` from the column.  A partial slice keeps
+    its own: the rule decides on the values it is given.
+    """
+    if (
+        isinstance(value, ColumnSlice)
+        and value.lo == 0
+        and value.hi == len(value.column)
+    ):
+        return value.column.int_bounds()
+    return None
+
+
 def member_mask(
-    values: np.ndarray, keys: np.ndarray, *, invert: bool = False
+    values: np.ndarray,
+    keys: np.ndarray,
+    *,
+    invert: bool = False,
+    bounds: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """``np.isin(values, keys, invert=invert)``, bit for bit.
 
@@ -278,8 +304,9 @@ def member_mask(
     dropped once, and every value indexes the table at ``value - lo``
     with no range check.  ``np.isin``'s table method checks both bounds
     of every probe value instead.  Anything else calls ``np.isin``.
+    ``bounds``, when known, is ``(values.min(), values.max())``.
     """
-    key_range = dense_key_range(values)
+    key_range = dense_key_range(values, bounds)
     if key_range is None or not is_int64_exact(keys.dtype):
         return np.isin(values, keys, invert=invert)
     lo, hi = key_range

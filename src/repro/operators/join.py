@@ -36,6 +36,7 @@ from .base import (
     dense_key_range,
     dictionary_of,
     dtype_of,
+    full_column_bounds,
     is_int64_exact,
     member_mask,
     pairs_of,
@@ -52,6 +53,8 @@ def hash_join_pairs(
     outer_values: np.ndarray,
     inner_heads: np.ndarray,
     inner_values: np.ndarray,
+    *,
+    inner_bounds: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All (outer head, inner head) pairs with equal values.
 
@@ -59,9 +62,10 @@ def hash_join_pairs(
     inner side's sorted order (deterministic).  Unique integer build
     keys under the dense-key rule are probed through a slot table; other
     inputs take the sort + binary search of :func:`_sorted_join_pairs`,
-    which returns the same arrays.
+    which returns the same arrays.  ``inner_bounds``, when known, is
+    ``(inner_values.min(), inner_values.max())``.
     """
-    key_range = dense_key_range(inner_values)
+    key_range = dense_key_range(inner_values, inner_bounds)
     if key_range is not None and is_int64_exact(outer_values.dtype):
         pairs = _direct_join_pairs(
             outer_heads, outer_values, inner_heads, inner_values, *key_range
@@ -131,7 +135,13 @@ class Join(Operator):
             raise OperatorError(f"join takes 2 inputs, got {len(inputs)}")
         outer_heads, outer_values = pairs_of(inputs[0], what="join outer")
         inner_heads, inner_values = pairs_of(inputs[1], what="join inner")
-        left, right = hash_join_pairs(outer_heads, outer_values, inner_heads, inner_values)
+        left, right = hash_join_pairs(
+            outer_heads,
+            outer_values,
+            inner_heads,
+            inner_values,
+            inner_bounds=full_column_bounds(inputs[1]),
+        )
         return BAT(left, right, OID)
 
     def work_profile(
@@ -179,7 +189,12 @@ class SemiJoin(Operator):
         outer_heads, outer_values = pairs_of(inputs[0], what="semijoin outer")
         __, inner_values = pairs_of(inputs[1], what="semijoin inner")
         rows = np.flatnonzero(
-            member_mask(outer_values, inner_values, invert=self.negate)
+            member_mask(
+                outer_values,
+                inner_values,
+                invert=self.negate,
+                bounds=full_column_bounds(inputs[0]),
+            )
         )
         return BAT(
             outer_heads[rows],

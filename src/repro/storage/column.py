@@ -28,11 +28,14 @@ from .dtypes import DataType, OID_DTYPE, STR
 
 _column_counter = itertools.count()
 
+#: ``Column._bounds`` before the first :meth:`Column.int_bounds` call.
+_UNKNOWN = object()
+
 
 class Column:
     """An immutable base column over the global oid space ``[0, len)``."""
 
-    __slots__ = ("name", "dtype", "values", "dictionary", "uid", "__weakref__")
+    __slots__ = ("name", "dtype", "values", "dictionary", "uid", "_bounds", "__weakref__")
 
     def __init__(
         self,
@@ -63,6 +66,26 @@ class Column:
         # distinct Column objects (even with equal contents) never share
         # a fingerprint, which keeps memoization stale-free.
         self.uid = next(_column_counter)
+        self._bounds: object = _UNKNOWN
+
+    def int_bounds(self) -> tuple[int, int] | None:
+        """``(min, max)`` of an integer column as Python ints; None when
+        the column is empty or not integer.
+
+        Computed on first use and kept, since the column is immutable:
+        the dense-key kernels read it instead of two passes over a probe
+        or build side that spans the whole column.  Racing first calls
+        both compute the same pair.
+        """
+        bounds = self._bounds
+        if bounds is _UNKNOWN:
+            values = self.values
+            if len(values) and values.dtype.kind in "iu":
+                bounds = (int(values.min()), int(values.max()))
+            else:
+                bounds = None
+            self._bounds = bounds
+        return bounds  # type: ignore[return-value]
 
     def cache_key(self) -> tuple:
         """Leaf key used by plan fingerprinting (identity, not content)."""

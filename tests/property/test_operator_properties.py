@@ -36,7 +36,12 @@ from repro.operators import (
     member_mask,
     merge_func_for,
 )
-from repro.operators.base import DENSE_KEY_SLACK, dense_key_range, is_int64_exact
+from repro.operators.base import (
+    DENSE_KEY_SLACK,
+    dense_key_range,
+    full_column_bounds,
+    is_int64_exact,
+)
 from repro.operators.groupby import _group_index, _reduce_by_group
 from repro.operators.join import _sorted_join_pairs, hash_join_pairs
 from repro.storage import BAT, INT, LNG, OID, STR, Candidates, Column
@@ -513,6 +518,53 @@ class TestDenseMembership:
         keys = data.draw(member_keys(values, dtypes=[np.int64]).filter(len))
         got = InPredicate(keys.tolist(), negate=negate).mask(values, None)
         np.testing.assert_array_equal(got, np.isin(values, keys, invert=negate))
+
+    def test_column_bounds_are_computed_once(self):
+        column = Column("c", INT, np.array([7, -3, 12, 5], dtype=np.int32))
+        assert column.int_bounds() == (-3, 12)
+        assert column.int_bounds() is column.int_bounds()
+        assert full_column_bounds(column.full_slice()) == (-3, 12)
+        assert full_column_bounds(column.slice(0, 3)) is None
+        assert full_column_bounds(column.slice(1, 4)) is None
+        assert full_column_bounds(BAT(np.arange(4), column.values, INT)) is None
+        assert Column("e", LNG, np.empty(0, dtype=np.int64)).int_bounds() is None
+        assert Column("s", STR, np.array([1, 0]), dictionary=("a", "b")).int_bounds() == (0, 1)
+
+    @settings(max_examples=200)
+    @given(
+        member_values(dtypes=[np.int64, np.int32]),
+        st.booleans(),
+        st.booleans(),
+        st.data(),
+    )
+    def test_full_and_partial_slices_match_np_isin(self, values, full, negate, data):
+        keys = data.draw(member_keys(values, dtypes=[np.int64, np.int32]))
+        dtype = LNG if values.dtype == np.int64 else INT
+        column = Column("o", dtype, values)
+        if full:
+            view = column.full_slice()
+        else:
+            lo = data.draw(st.integers(0, len(values) - 1))
+            hi = data.draw(st.integers(lo + 1, len(values)))
+            assume((lo, hi) != (0, len(values)))
+            view = column.slice(lo, hi)
+        bounds = full_column_bounds(view)
+        # A partial slice is judged on its own values, never the column's.
+        assert (bounds is not None) == full
+        assert dense_key_range(view.values, bounds) == dense_key_range(view.values)
+        got = member_mask(view.values, keys, invert=negate, bounds=bounds)
+        np.testing.assert_array_equal(got, np.isin(view.values, keys, invert=negate))
+        inner = BAT(np.arange(len(keys)), keys, LNG if keys.dtype == np.int64 else INT)
+        semi = SemiJoin(negate=negate).evaluate([view, inner])
+        rows = np.flatnonzero(np.isin(view.values, keys, invert=negate))
+        np.testing.assert_array_equal(semi.head, view.oids()[rows])
+        np.testing.assert_array_equal(semi.tail, view.values[rows])
+        # The same slice as a join's build side.
+        probe = BAT(np.arange(len(keys)) * 2, keys, inner.dtype)
+        joined = Join().evaluate([probe, view])
+        left, right = _sorted_join_pairs(probe.head, keys, view.oids(), view.values)
+        np.testing.assert_array_equal(joined.head, left)
+        np.testing.assert_array_equal(joined.tail, right)
 
     WORDS = ("ant", "bee", "cat", "cow", "dog", "eel", "elk", "emu", "fox", "gnu")
 
