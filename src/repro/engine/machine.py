@@ -39,7 +39,7 @@ class MachineState:
     _core_busy: list[int] = field(default_factory=list, repr=False)
     _socket_busy: list[int] = field(default_factory=list, repr=False)
     _busy_total: int = field(default=0, repr=False)
-    _score_base: int = field(default=0, repr=False)
+    _score_base: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.threads:

@@ -266,7 +266,6 @@ class _Task:
         "cpu_work",
         "mem_work",
         "start",
-        "remote",
         "index",
         "mem_active",
         "cpu_rate",
@@ -304,7 +303,6 @@ class _Task:
         self.cpu_rem = cpu_work
         self.mem_rem = mem_work
         self.start = start
-        self.remote = remote
         #: Position in the simulator's running-task list (swap-removal).
         self.index = -1
         #: True while this task still counts toward its socket's
