@@ -23,7 +23,7 @@ from enum import Enum
 from ..config import SimulationConfig
 from ..engine.scheduler import ExecutionResult
 from ..errors import ReproError
-from ..sql.lexer import statement_key
+from ..sql.lexer import statement_key, tokenize, tokens_key
 from ..sql.planner import plan_sql
 from ..storage.catalog import Catalog
 from .adaptive import AdaptiveParallelizer, CreditDebitStep
@@ -114,10 +114,12 @@ class AdaptiveSession:
         next plan and feeds the result back into it; once converged, the
         stored global-minimum plan is executed directly.
         """
-        key = statement_key(sql)
+        tokens = tokenize(sql)
+        key = tokens_key(tokens)
         entry = self._cache.get(key)
         if entry is None:
-            step = CreditDebitStep(self._parallelizer, plan_sql(sql, self.catalog))
+            plan = plan_sql(sql, self.catalog, tokens)
+            step = CreditDebitStep(self._parallelizer, plan)
             entry = self._cache[key] = CacheEntry(sql, step)
         entry.invocations += 1
         run = self._parallelizer.runner

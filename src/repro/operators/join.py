@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import OperatorError
-from ..storage.column import BAT, Intermediate
-from ..storage.dtypes import OID
+from ..storage.column import BAT, ColumnSlice, Intermediate
+from ..storage.dtypes import OID, OID_DTYPE
 from .base import (
     Operator,
     WorkProfile,
@@ -83,12 +83,27 @@ def _direct_join_pairs(
     lo: int,
     hi: int,
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The direct-address path; None when a build key repeats."""
+    """The direct-address path; None when a build key repeats.
+
+    When every probe lies inside ``[lo, hi]`` (foreign keys probing their
+    primary key), the slot table is read at ``probe - lo`` directly,
+    with no range mask or row gather; output heads are fresh arrays
+    either way, never a view of ``outer_heads``.
+    """
     slots = np.full(hi - lo + 1, -1, dtype=np.intp)
     slots[inner_values.astype(np.intp, copy=False) - lo] = np.arange(len(inner_values))
     if np.count_nonzero(slots >= 0) < len(inner_values):
         return None
     probe = outer_values.astype(np.int64, copy=False)
+    if len(probe) and lo <= probe.min() and probe.max() <= hi:
+        inner_rows = slots[probe - lo] if lo else slots[probe]
+        hit = inner_rows >= 0
+        hits = int(np.count_nonzero(hit))
+        if hits == 0:
+            return _no_pairs()
+        if hits == len(probe):
+            return outer_heads.copy(), inner_heads[inner_rows]
+        return outer_heads[hit], inner_heads[inner_rows[hit]]
     # Range-check before subtracting, so far-off probes cannot wrap around.
     outer_rows = np.flatnonzero((probe >= lo) & (probe <= hi))
     inner_rows = slots[probe[outer_rows] - lo]
@@ -186,22 +201,31 @@ class SemiJoin(Operator):
     def evaluate(self, inputs: Sequence[Intermediate]) -> BAT:
         if len(inputs) != 2:
             raise OperatorError(f"semijoin takes 2 inputs, got {len(inputs)}")
-        outer_heads, outer_values = pairs_of(inputs[0], what="semijoin outer")
+        outer = inputs[0]
+        sliced = isinstance(outer, ColumnSlice)
+        if sliced:
+            outer_values = outer.values
+        else:
+            outer_heads, outer_values = pairs_of(outer, what="semijoin outer")
         __, inner_values = pairs_of(inputs[1], what="semijoin inner")
         rows = np.flatnonzero(
             member_mask(
                 outer_values,
                 inner_values,
                 invert=self.negate,
-                bounds=full_column_bounds(inputs[0]),
+                bounds=full_column_bounds(outer),
             )
         )
-        return BAT(
-            outer_heads[rows],
-            outer_values[rows],
-            dtype_of(inputs[0]),
-            dictionary_of(inputs[0]),
-        )
+        values = outer_values[rows]
+        if sliced:
+            # A slice's heads are its rows plus ``lo``: offset the fresh
+            # rows in place instead of gathering from ``outer.oids()``.
+            heads = rows if rows.dtype == OID_DTYPE else rows.astype(OID_DTYPE)
+            if outer.lo:
+                heads += outer.lo
+        else:
+            heads = outer_heads[rows]
+        return BAT(heads, values, dtype_of(outer), dictionary_of(outer))
 
     def params(self) -> tuple:
         return (self.negate,)

@@ -1,7 +1,7 @@
 """Mini SQL front-end: lexer, parser, and serial-plan compiler."""
 
 from .ast import SelectStatement
-from .lexer import Token, statement_key, tokenize
+from .lexer import Token, statement_key, tokenize, tokens_key
 from .parser import parse
 from .planner import PlanCache, SqlPlanner, plan_sql
 
@@ -14,4 +14,5 @@ __all__ = [
     "plan_sql",
     "statement_key",
     "tokenize",
+    "tokens_key",
 ]

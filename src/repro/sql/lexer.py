@@ -109,7 +109,13 @@ def statement_key(text: str) -> str:
     ``'MED  BOX'`` and ``'med box'`` are three different statements.
     Raises :class:`SqlLexError` on text the lexer rejects.
     """
+    return tokens_key(tokenize(text))
+
+
+def tokens_key(tokens: list[Token]) -> str:
+    """:func:`statement_key` of an already tokenized statement, so a
+    cache can key and parse one token list."""
     return " ".join(
         f"'{token.value}'" if token.type == "STRING" else token.value
-        for token in tokenize(text)[:-1]
+        for token in tokens[:-1]
     )

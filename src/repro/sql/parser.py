@@ -51,9 +51,13 @@ _AGG_KEYWORDS = {"SUM", "COUNT", "MIN", "MAX", "AVG"}
 _CMP_OPS = {"=", "<", ">", "<=", ">=", "<>"}
 
 
-def parse(text: str) -> SelectStatement:
-    """Parse a SQL string into a :class:`SelectStatement`."""
-    parser = _Parser(tokenize(text))
+def parse(text: str, tokens: list[Token] | None = None) -> SelectStatement:
+    """Parse a SQL string into a :class:`SelectStatement`.
+
+    ``tokens`` is ``tokenize(text)`` when the caller already has it: a
+    plan cache keys a statement and parses it from one token list.
+    """
+    parser = _Parser(tokenize(text) if tokens is None else tokens)
     stmt = parser.select_statement()
     parser.expect_eof()
     return stmt

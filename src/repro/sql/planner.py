@@ -63,13 +63,14 @@ from .ast import (
     Or,
     SelectStatement,
 )
-from .lexer import statement_key
+from .lexer import Token, tokenize, tokens_key
 from .parser import parse
 
 
-def plan_sql(text: str, catalog: Catalog) -> Plan:
-    """Parse and plan a SQL string against ``catalog``."""
-    return SqlPlanner(catalog).plan(parse(text))
+def plan_sql(text: str, catalog: Catalog, tokens: list[Token] | None = None) -> Plan:
+    """Parse and plan a SQL string against ``catalog``; ``tokens`` as
+    for :func:`~repro.sql.parser.parse`."""
+    return SqlPlanner(catalog).plan(parse(text, tokens))
 
 
 class PlanCache:
@@ -110,7 +111,8 @@ class PlanCache:
     def template(self, text: str) -> Plan:
         """The shared cached template itself (callers must not mutate it;
         submitting it to a simulator is fine)."""
-        key = statement_key(text)
+        tokens = tokenize(text)
+        key = tokens_key(tokens)
         cached = self._plans.get(key)
         if cached is not None:
             self.hits += 1
@@ -119,7 +121,7 @@ class PlanCache:
             self._plans[key] = cached
             return cached
         self.misses += 1
-        template = plan_sql(text, self.catalog)
+        template = plan_sql(text, self.catalog, tokens)
         while len(self._plans) >= self.capacity:
             self._plans.pop(next(iter(self._plans)))
         self._plans[key] = template
@@ -310,9 +312,49 @@ class _QueryContext:
             return InPredicate(cond.values, negate=cond.negate)
         raise SqlPlanError(f"condition {cond!r} is not a simple predicate")
 
+    def _is_string(self, ref: ColumnRef) -> bool:
+        """Whether ``ref`` names a dictionary-encoded (string) column."""
+        return self.catalog.column(self._owner(ref), ref.name).dictionary is not None
+
+    def _check_literals(self, cond: Condition) -> None:
+        """The literal-type rule (docs/sql.md): numbers only against
+        numeric columns; a string column takes only string ``=``,
+        ``<>``, ``IN`` and ``LIKE``.  Checked here because the kernels
+        would compare dictionary codes instead."""
+        ref = cond.column
+        if isinstance(cond, Like):
+            if not self._is_string(ref):
+                raise SqlPlanError(f"LIKE needs a string column; {ref} is numeric")
+            return
+        if isinstance(cond, Between):
+            literals: tuple = (cond.lo, cond.hi)
+        elif isinstance(cond, InList):
+            literals = cond.values
+        else:
+            literals = (cond.value,)
+        strings = [isinstance(value, str) for value in literals]
+        if not self._is_string(ref):
+            if any(strings):
+                raise SqlPlanError(f"string literal compared with numeric column {ref}")
+            return
+        equality = isinstance(cond, InList) or (
+            isinstance(cond, Comparison) and cond.op in ("=", "<>")
+        )
+        if not equality:
+            raise SqlPlanError(f"string column {ref} takes only =, <>, IN and LIKE")
+        if not all(strings):
+            raise SqlPlanError(f"number compared with string column {ref}")
+
+    def _check_operands(self, expr: BinaryExpr) -> None:
+        """Arithmetic reads numbers: a string column's codes are not."""
+        for side in (expr.left, expr.right):
+            if isinstance(side, ColumnRef) and self._is_string(side):
+                raise SqlPlanError(f"arithmetic on string column {side}")
+
     def _apply_simple(
         self, table: str, cond: Condition, cands: PlanNode | None
     ) -> PlanNode:
+        self._check_literals(cond)
         scan = self.scan(table, cond.column.name)
         predicate = self._predicate_of(cond)
         inputs = [scan] if cands is None else [scan, cands]
@@ -488,6 +530,7 @@ class _QueryContext:
         if isinstance(expr, ColumnRef):
             return self.value_node(expr, cands)
         if isinstance(expr, BinaryExpr):
+            self._check_operands(expr)
             left = self.expr_node(expr.left, cands)
             right = self.expr_node(expr.right, cands)
             return PlanNode(Calc(expr.op), [left, right])
@@ -501,6 +544,15 @@ class _QueryContext:
         cands: PlanNode | None,
         keys: PlanNode | None,
     ) -> PlanNode:
+        if (
+            agg.func != "count"
+            and isinstance(agg.arg, ColumnRef)
+            and self._is_string(agg.arg)
+        ):
+            raise SqlPlanError(
+                f"{agg.func.upper()} of string column {agg.arg}; only COUNT "
+                "aggregates a string column"
+            )
         if agg.func == "avg":
             total = self._agg_node(AggExpr("sum", agg.arg), cands, keys)
             count = self._agg_node(AggExpr("count", agg.arg), cands, keys)
@@ -610,6 +662,10 @@ class _QueryContext:
                     "HAVING must reference the select list's aggregate "
                     f"({exprs[0]}), got {condition.agg}"
                 )
+            if isinstance(condition.value, str):
+                raise SqlPlanError(
+                    f"HAVING compares {condition.agg} with a string literal"
+                )
             predicate = self._predicate_of(
                 Comparison(ColumnRef("<having>"), condition.op, condition.value)
             )
@@ -624,6 +680,7 @@ class _QueryContext:
         if isinstance(expr, AggExpr):
             return self._agg_node(expr, cands, keys)
         if isinstance(expr, BinaryExpr) and _contains_agg(expr):
+            self._check_operands(expr)
             left = self._item_node(expr.left, cands, keys)
             right = self._item_node(expr.right, cands, keys)
             return PlanNode(Calc(expr.op), [left, right])

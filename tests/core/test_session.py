@@ -68,6 +68,23 @@ class TestAdaptiveSession:
         assert session.execute(sql.format(other)).outputs[0].value == 0
         assert len(session.cached_queries()) == 2
 
+    def test_each_invocation_tokenizes_once(self, session, monkeypatch):
+        import repro.core.session as session_module
+        import repro.sql.parser as parser
+        from repro.sql import tokenize
+
+        seen: list[str] = []
+
+        def counted(text):
+            seen.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(session_module, "tokenize", counted)
+        monkeypatch.setattr(parser, "tokenize", counted)
+        session.execute(SQL)
+        session.execute(SQL)
+        assert seen == [SQL, SQL]
+
     def test_results_identical_across_invocations(self, session):
         values = {session.execute(SQL).outputs[0].value for __ in range(12)}
         assert len(values) == 1

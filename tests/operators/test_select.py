@@ -43,6 +43,17 @@ class TestPredicates:
         with pytest.raises(OperatorError):
             RangePredicate()
 
+    @pytest.mark.parametrize(
+        "bounds", [("a", None), (None, "Brand#2"), (1, "9"), (True, None), (None, [3])]
+    )
+    def test_range_rejects_non_numeric_bounds(self, bounds):
+        with pytest.raises(OperatorError, match="must be a number"):
+            RangePredicate(*bounds)
+
+    def test_range_takes_numpy_numbers(self, column):
+        predicate = RangePredicate(np.int64(3), np.float64(7.0))
+        assert predicate.mask(column.values, None).sum() == 6
+
     def test_equals_and_negate(self, column):
         assert EqualsPredicate(3).mask(column.values, None).sum() == 2
         assert EqualsPredicate(3, negate=True).mask(column.values, None).sum() == 8

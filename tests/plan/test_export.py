@@ -162,6 +162,14 @@ class TestMalformedDocuments:
         with pytest.raises(StorageError):
             plan_from_json(text, small_catalog)
 
+    @pytest.mark.parametrize("bound", ["500", True, [500]])
+    def test_non_numeric_range_bound_is_an_operator_error(self, small_catalog, bound):
+        from repro.errors import OperatorError
+
+        text = _edited(small_catalog, "select", ("op", "predicate", "hi"), bound)
+        with pytest.raises(OperatorError, match="must be a number"):
+            plan_from_json(text, small_catalog)
+
 
 class TestDot:
     def test_dot_contains_every_node_and_edge(self, small_catalog):

@@ -11,21 +11,26 @@ profiles (hence simulated times) must match exactly.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.operators import (
     Calc,
+    EqualsPredicate,
     Fetch,
     GroupAggregate,
+    InPredicate,
     Join,
+    LikePredicate,
     Pack,
     RangePredicate,
     Select,
     SemiJoin,
     fastpath,
 )
-from repro.storage import BAT, Candidates, Column, LNG
+from repro.operators.select import BOOLEAN_COMPACTION_SHARE
+from repro.storage import BAT, DBL, INT, LNG, STR, Candidates, Column
 from repro.storage.column import ColumnSlice
 
 
@@ -204,3 +209,122 @@ def test_slice_oids_are_cached_and_read_only():
     assert first is second
     assert not first.flags.writeable
     np.testing.assert_array_equal(first, np.arange(2, 7))
+
+
+# ---------------------------------------------------------------------------
+# Candidate selections: gather from the base column, compact by count
+# ---------------------------------------------------------------------------
+_WORDS = ("apple", "apricot", "avocado", "banana", "blueberry", "cherry")
+
+#: Per column kind: (predicate, values it keeps, values it drops).
+_CANDIDATE_PREDICATES = {
+    "numeric": [
+        (RangePredicate(0, 9), [0, 3, 9], [-5, 10, 100]),
+        (RangePredicate(0, 9, lo_inclusive=False), [1, 9], [0, 10]),
+        (EqualsPredicate(7), [7], [0, 8, 100]),
+        (EqualsPredicate(7, negate=True), [0, 8, 100], [7]),
+        (InPredicate((1, 4, 7)), [1, 4, 7], [0, 5, 100]),
+        (InPredicate((1, 4, 7), negate=True), [0, 5, 100], [1, 4, 7]),
+    ],
+    "dictionary": [
+        (EqualsPredicate("apricot"), [1], [0, 2, 5]),
+        (EqualsPredicate("nope"), [], [0, 3]),
+        (InPredicate(("apple", "avocado")), [0, 2], [1, 3, 5]),
+        (LikePredicate("a%"), [0, 1, 2], [3, 4, 5]),
+        (LikePredicate("b%", negate=True), [0, 1, 5], [3, 4]),
+    ],
+}
+
+_COLUMN_TYPES = {"int32": INT, "int64": LNG, "float64": DBL, "dictionary": STR}
+
+
+@st.composite
+def candidate_select_case(draw):
+    """A column of int32, int64, float64 or dictionary codes, a full or
+    partial slice, sorted candidates (with ones outside the slice), and
+    a predicate that keeps none, some, at least 90% or all of the
+    candidates inside the slice."""
+    kind = draw(st.sampled_from(sorted(_COLUMN_TYPES)))
+    dtype = _COLUMN_TYPES[kind]
+    predicate, kept, dropped = draw(st.sampled_from(
+        _CANDIDATE_PREDICATES["dictionary" if dtype is STR else "numeric"]
+    ))
+    n = draw(st.integers(1, 400))
+    if draw(st.booleans()):
+        lo, hi = 0, n
+    else:
+        lo = draw(st.integers(0, n - 1))
+        hi = draw(st.integers(lo, n))
+    oids = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    inside = [o for o in oids if lo <= o < hi]
+    share = draw(st.sampled_from(["none", "some", "most", "all"]))
+    if not kept:
+        share = "none"
+    if not dropped:
+        share = "all"
+    m = len(inside)
+    k = {
+        "none": 0,
+        "some": draw(st.integers(0, m)),
+        "most": m - draw(st.integers(0, m // 10)),
+        "all": m,
+    }[share]
+    keep = set(draw(st.permutations(inside))[:k])
+    pool = kept + dropped
+    values = [
+        draw(st.sampled_from(kept)) if row in keep
+        else draw(st.sampled_from(dropped if row in inside else pool))
+        for row in range(n)
+    ]
+    column = Column(
+        "c", dtype, np.asarray(values, dtype=dtype.numpy_dtype),
+        dictionary=_WORDS if dtype is STR else None,
+    )
+    oid_array = np.asarray(oids, dtype=np.int64)
+    if draw(st.booleans()):
+        cands = Candidates(oid_array)
+    else:
+        cands = Candidates(oid_array, check_sorted=False, unique=None)
+    return column.slice(lo, hi), predicate, cands, k
+
+
+@given(candidate_select_case())
+@settings(max_examples=300, deadline=None)
+def test_candidate_select_matches_reference(case):
+    """Fast path == ``fastpath.disabled()`` on oids, dtype and the unique
+    flag; the candidate buffer is shared only when every candidate in
+    the slice qualified."""
+    view, predicate, cands, kept = case
+    op = Select(predicate)
+    inputs = [view, cands]
+    fast = op.evaluate(inputs)
+    with fastpath.disabled():
+        slow = op.evaluate(inputs)
+    assert len(fast) == kept
+    assert fast.oids.dtype == slow.oids.dtype == np.int64
+    np.testing.assert_array_equal(fast.oids, slow.oids)
+    assert fast.unique == slow.unique
+    assert op.work_profile(inputs, fast) == op.work_profile(inputs, slow)
+    assert not np.shares_memory(slow.oids, cands.oids)
+    if np.shares_memory(fast.oids, cands.oids):
+        assert kept == len(cands.restrict(view.lo, view.hi))
+
+
+_EDGE = int(BOOLEAN_COMPACTION_SHARE * 100)
+
+
+@pytest.mark.parametrize("kept", [0, 1, 50, _EDGE - 1, _EDGE, _EDGE + 1, 99, 100])
+def test_both_compactions_around_the_crossover(kept):
+    """Either side of ``BOOLEAN_COMPACTION_SHARE`` of 100 candidates the
+    compacted oids are the kept candidates, in a fresh buffer."""
+    oids = np.arange(0, 300, 3, dtype=np.int64)
+    keep = np.zeros(100, dtype=bool)
+    keep[np.random.default_rng(kept).permutation(100)[:kept]] = True
+    values = np.zeros(300, dtype=np.int64)
+    values[oids[keep]] = 1
+    cands = Candidates(oids)
+    view = Column("c", LNG, values).full_slice()
+    out = Select(EqualsPredicate(1)).evaluate([view, cands])
+    np.testing.assert_array_equal(out.oids, oids[keep])
+    assert out.unique is True
+    assert np.shares_memory(out.oids, cands.oids) == (kept == 100)

@@ -270,6 +270,35 @@ def join_case(draw):
     return outer_heads, outer, inner_heads, inner.astype(inner_dtype)
 
 
+@st.composite
+def in_range_join_case(draw):
+    """Unique build keys under the dense-key rule (holes allowed) probed
+    by keys only, by keys and holes, by holes only, or by values up to
+    three past either end; int64 or int32 outer heads."""
+    n = draw(st.integers(1, 80))
+    span = draw(st.integers(n, n + DENSE_KEY_SLACK))
+    lo = draw(st.integers(-1000, 1000))
+    offsets = [0, *draw(st.permutations(range(1, span - 1)))[: n - 2], span - 1][:n]
+    inner = lo + np.asarray(draw(st.permutations(offsets)), dtype=np.int64)
+    hi = lo + span - 1
+    keys = inner.tolist()
+    holes = sorted(set(range(lo, hi + 1)) - set(keys))
+    probe = draw(st.sampled_from(["keys", "mixed", "holes", "outside"]))
+    if probe == "holes" and not holes:
+        probe = "keys"
+    values = {
+        "keys": st.sampled_from(keys),
+        "mixed": st.integers(lo, hi),
+        "holes": st.sampled_from(holes or keys),
+        "outside": st.sampled_from([lo - 1, hi + 1]) | st.integers(lo - 3, hi + 3),
+    }[probe]
+    outer = np.asarray(draw(st.lists(values, min_size=1, max_size=120)), dtype=np.int64)
+    heads_dtype = draw(st.sampled_from([np.int64, np.int32]))
+    outer_heads = (np.arange(len(outer)) * 3 + 7).astype(heads_dtype)
+    inner_heads = np.arange(n, dtype=np.int64)[::-1] * 5 + 11
+    return outer_heads, outer, inner_heads, inner
+
+
 def _dict_join(outer_heads, outer, inner_heads, inner):
     """Pairs from a dict of build key -> heads, in outer order."""
     table = defaultdict(list)
@@ -362,6 +391,18 @@ class TestDenseJoin:
             for left, right in (hash_join_pairs(*case), _sorted_join_pairs(*case)):
                 assert left.dtype == right.dtype == np.int64
                 assert len(left) == len(right) == 0
+
+    @settings(max_examples=200)
+    @given(in_range_join_case())
+    def test_in_range_probes_match_sort_path(self, case):
+        """Probes inside the build range (every, some or no probe a key)
+        and partly outside: the same pairs as the sort path, and no
+        output shares memory with an input."""
+        got = hash_join_pairs(*case)
+        _assert_same_arrays(got, _sorted_join_pairs(*case))
+        for out in got:
+            for array in case:
+                assert not np.shares_memory(out, array)
 
     def test_float_probes_take_the_sort_path(self):
         outer = np.array([1.0, 1.5, 2.0])
@@ -555,10 +596,15 @@ class TestDenseMembership:
         got = member_mask(view.values, keys, invert=negate, bounds=bounds)
         np.testing.assert_array_equal(got, np.isin(view.values, keys, invert=negate))
         inner = BAT(np.arange(len(keys)), keys, LNG if keys.dtype == np.int64 else INT)
+        if data.draw(st.booleans()):
+            view.oids()  # the slice's cached oid array exists beforehand
         semi = SemiJoin(negate=negate).evaluate([view, inner])
         rows = np.flatnonzero(np.isin(view.values, keys, invert=negate))
         np.testing.assert_array_equal(semi.head, view.oids()[rows])
         np.testing.assert_array_equal(semi.tail, view.values[rows])
+        # Heads are fresh int64 rows plus ``lo``, never the oids() cache.
+        assert semi.head.dtype == np.int64
+        assert not np.shares_memory(semi.head, view.oids())
         # The same slice as a join's build side.
         probe = BAT(np.arange(len(keys)) * 2, keys, inner.dtype)
         joined = Join().evaluate([probe, view])

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from repro.config import SimulationConfig, laptop_machine
 from repro.engine import execute
+from repro.errors import ReproError, SqlPlanError
 from repro.plan import validate_plan
 from repro.sql import plan_sql
 from repro.storage import Catalog, LNG, Table
+from repro.workloads import TpchDataset
 
 _CONFIG = SimulationConfig(machine=laptop_machine(8), data_scale=50.0)
 _N, _M = 3_000, 80
@@ -139,3 +141,72 @@ class TestGroupedQueries:
         # Every non-empty group is present.
         present = set(int(k) for k in grouped.head)
         assert present == set(int(c) for c in np.unique(cat_per_row))
+
+
+# ---------------------------------------------------------------------------
+# The literal-type rule over every column of the TPC-H catalog
+# ---------------------------------------------------------------------------
+_TPCH = TpchDataset(scale_factor=1, seed=1)
+_TPCH_COLUMNS = [
+    (table.name, name)
+    for table in sorted(_TPCH.catalog.tables(), key=lambda t: t.name)
+    for name in table.column_names
+]
+_CMP_OPS = ("=", "<>", "<", "<=", ">", ">=")
+
+
+_STRINGS = st.one_of(
+    st.text(alphabet="abcXYZ019#% _-", max_size=8).map(lambda text: f"'{text}'"),
+    st.sampled_from(["'Brand#23'", "'SM BOX'", "'FRANCE'", "'1-URGENT'"]),
+)
+
+
+def _literals():
+    return st.one_of(
+        st.integers(-(2**40), 2**40).map(str),
+        st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: f"{v:.3f}"),
+        _STRINGS,
+        st.dates().map(lambda d: f"DATE '{d.isoformat()}'"),
+    )
+
+
+@st.composite
+def tpch_comparison(draw):
+    """``SELECT <agg> FROM t WHERE <col> <op> <literals>`` over any
+    column of the sf=1 catalog, with literals of any type."""
+    table, column = draw(st.sampled_from(_TPCH_COLUMNS))
+    form = draw(st.sampled_from(["cmp", "between", "in", "like"]))
+    if form == "cmp":
+        where = f"{column} {draw(st.sampled_from(_CMP_OPS))} {draw(_literals())}"
+    elif form == "between":
+        where = f"{column} BETWEEN {draw(_literals())} AND {draw(_literals())}"
+    elif form == "in":
+        values = draw(st.lists(_literals(), min_size=1, max_size=4))
+        negate = draw(st.sampled_from(["", "NOT "]))
+        where = f"{column} {negate}IN ({', '.join(values)})"
+    else:
+        negate = draw(st.sampled_from(["", "NOT "]))
+        where = f"{column} {negate}LIKE {draw(_STRINGS)}"
+    agg = draw(st.sampled_from(
+        ["COUNT(*)", f"COUNT({column})", f"SUM({column})", f"MIN({column})",
+         f"MAX({column})", f"AVG({column})"]
+    ))
+    return f"SELECT {agg} FROM {table} WHERE {where}"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tpch_comparison())
+def test_random_comparison_plans_or_fails_typed(sql):
+    """A comparison either fails to plan with SqlPlanError, or plans and
+    executes; nothing escapes as a non-ReproError (a numpy type error,
+    say)."""
+    try:
+        plan = plan_sql(sql, _TPCH.catalog)
+    except SqlPlanError:
+        return
+    except ReproError as exc:  # a lex or parse error is not a type rule
+        pytest.fail(f"{sql!r} failed to plan with {type(exc).__name__}: {exc}")
+    try:
+        execute(plan, _TPCH.sim_config())
+    except ReproError:
+        pass

@@ -1,0 +1,103 @@
+"""The literal-type rule: WHERE literals and aggregates must fit the column.
+
+A dictionary-encoded (string) column stores codes, so comparing it with
+a number, ordering it, or summing it would read the codes as values.
+The planner refuses such statements with :class:`SqlPlanError` before
+any kernel runs.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.engine import execute
+from repro.errors import SqlPlanError
+from repro.sql import plan_sql
+from repro.workloads import TpchDataset
+
+
+@pytest.fixture(scope="module")
+def dataset() -> TpchDataset:
+    return TpchDataset(scale_factor=1, seed=1)
+
+
+@pytest.mark.parametrize(
+    "sql,message",
+    [
+        ("SELECT COUNT(*) FROM part WHERE p_brand = 5", "number compared"),
+        ("SELECT COUNT(*) FROM part WHERE p_brand IN (1, 2)", "number compared"),
+        ("SELECT COUNT(*) FROM part WHERE p_brand BETWEEN 1 AND 3", "takes only"),
+        ("SELECT COUNT(*) FROM part WHERE p_brand IN ('Brand#23', 5)", "number compared"),
+        ("SELECT COUNT(*) FROM part WHERE p_size IN (1, 'a')", "string literal"),
+        ("SELECT SUM(p_brand) FROM part", "only COUNT"),
+        ("SELECT MAX(p_brand) FROM part", "only COUNT"),
+        ("SELECT COUNT(*) FROM part WHERE p_brand < 'Brand#2'", "takes only"),
+        ("SELECT COUNT(*) FROM part WHERE p_size > 'a'", "string literal"),
+    ],
+    ids=[
+        "string-eq-number", "string-in-numbers", "string-between",
+        "string-in-mixed", "numeric-in-mixed", "sum-of-string",
+        "max-of-string", "string-less-than", "numeric-greater-than-string",
+    ],
+)
+def test_mismatched_literal_is_a_plan_error(dataset, sql, message):
+    with pytest.raises(SqlPlanError, match=message):
+        plan_sql(sql, dataset.catalog)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT COUNT(*) FROM part WHERE p_size LIKE '1%'",
+        "SELECT COUNT(*) FROM part WHERE p_size NOT LIKE '1%'",
+        "SELECT AVG(p_brand) FROM part",
+        "SELECT MIN(p_brand) FROM part WHERE p_size < 10",
+        "SELECT SUM(p_size + p_brand) FROM part",
+        "SELECT p_brand * 2 FROM part",
+        "SELECT p_size, COUNT(*) FROM part GROUP BY p_size HAVING COUNT(*) > 'a'",
+        "SELECT COUNT(*) FROM part WHERE p_brand >= 'Brand#1' AND p_size = 3",
+        "SELECT COUNT(*) FROM lineitem, part WHERE l_partkey = p_partkey "
+        "AND p_container IN ('SM BOX', 7)",
+        "SELECT COUNT(*) FROM lineitem WHERE l_shipdate < 'x' OR l_quantity < 3",
+    ],
+)
+def test_other_mismatches_are_plan_errors(dataset, sql):
+    with pytest.raises(SqlPlanError):
+        plan_sql(sql, dataset.catalog)
+
+
+def _count(dataset, sql) -> int:
+    result = execute(plan_sql(sql, dataset.catalog), dataset.sim_config())
+    (output,) = result.outputs
+    return int(output.value)
+
+
+def test_string_equality_in_and_like_still_answer(dataset):
+    part = dataset.catalog.table("part")
+    brand = part.column("p_brand")
+    strings = np.asarray(brand.dictionary, dtype=object)[brand.values]
+    assert _count(
+        dataset, "SELECT COUNT(*) FROM part WHERE p_brand = 'Brand#23'"
+    ) == int(np.sum(strings == "Brand#23"))
+    assert _count(
+        dataset, "SELECT COUNT(*) FROM part WHERE p_brand <> 'Brand#23'"
+    ) == int(np.sum(strings != "Brand#23"))
+    assert _count(
+        dataset,
+        "SELECT COUNT(*) FROM part WHERE p_brand NOT IN ('Brand#12', 'Brand#23')",
+    ) == int(np.sum((strings != "Brand#12") & (strings != "Brand#23")))
+    assert _count(
+        dataset, "SELECT COUNT(*) FROM part WHERE p_brand LIKE 'Brand#2%'"
+    ) == int(sum(s.startswith("Brand#2") for s in strings))
+    assert _count(dataset, "SELECT COUNT(p_brand) FROM part") == len(part)
+
+
+def test_numbers_against_numeric_columns_still_answer(dataset):
+    size = dataset.catalog.table("part").column("p_size").values
+    assert _count(
+        dataset, "SELECT COUNT(*) FROM part WHERE p_size BETWEEN 5 AND 9.5"
+    ) == int(np.sum((size >= 5) & (size <= 9.5)))
+    assert _count(
+        dataset, "SELECT COUNT(*) FROM part WHERE p_size IN (1, 2.0, -3)"
+    ) == int(np.isin(size, [1, 2, -3]).sum())

@@ -7,9 +7,9 @@ import pytest
 
 from repro.config import SimulationConfig, laptop_machine
 from repro.engine import execute
-from repro.errors import SqlPlanError
+from repro.errors import SqlLexError, SqlPlanError
 from repro.plan import validate_plan
-from repro.sql import plan_sql
+from repro.sql import PlanCache, plan_sql, statement_key, tokenize, tokens_key
 from repro.storage import Catalog, LNG, STR, Table
 
 
@@ -357,3 +357,44 @@ class TestHavingDistinct:
             "SELECT DISTINCT shop_id FROM sales LIMIT 3", catalog, config
         )
         assert len(result.outputs[0]) == 3
+
+
+def _count_tokenize(monkeypatch, *modules) -> list[str]:
+    """Record every ``tokenize`` call made through ``modules``."""
+    seen: list[str] = []
+
+    def counted(text):
+        seen.append(text)
+        return tokenize(text)
+
+    for module in modules:
+        monkeypatch.setattr(module, "tokenize", counted)
+    return seen
+
+
+class TestPlanCacheTokenizesOnce:
+    SQL = "SELECT SUM(price) FROM sales WHERE amount < 5"
+
+    def test_new_and_cached_statements_tokenize_once(self, catalog, monkeypatch):
+        import repro.sql.parser as parser
+        import repro.sql.planner as planner
+
+        seen = _count_tokenize(monkeypatch, planner, parser)
+        cache = PlanCache(catalog)
+        cache.template(self.SQL)
+        assert seen == [self.SQL]
+        cache.template(self.SQL.lower())
+        assert seen == [self.SQL, self.SQL.lower()]
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_lex_error_comes_before_the_lookup(self, catalog):
+        cache = PlanCache(catalog)
+        with pytest.raises(SqlLexError):
+            cache.template("SELECT 'unterminated FROM sales")
+        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "text", [SQL, "select  x FROM t where s = 'MED  BOX'", "", "a <= 'b' <> 3.5"]
+    )
+    def test_tokens_key_is_statement_key(self, text):
+        assert tokens_key(tokenize(text)) == statement_key(text)
