@@ -10,6 +10,7 @@ from repro.learn import config_signature, machine_signature, plan_signature
 from repro.operators import RangePredicate
 from repro.plan import PlanBuilder
 from repro.storage import Catalog, LNG, Table
+from repro.workloads import TpchDataset
 
 
 def make_catalog(n=2_000, name="t"):
@@ -71,6 +72,32 @@ class TestPlanSignature:
         sig = plan_signature(make_plan(make_catalog()))
         assert len(sig) == 32
         int(sig, 16)  # pure hex
+
+
+#: The template signature of each named TPC-H plan at sf=1.  Experience
+#: store files on disk are keyed by these values, so a change to the
+#: signature walk or its key must not move them.
+TPCH_SIGNATURES = {
+    "q4": "9a877d42021b9de1a02e56622e5754bd",
+    "q6": "4418ab2345e9bc619812161a3455ea85",
+    "q8": "4a0d51b38056732354952e4c36a19059",
+    "q9": "dcb0adbf7a88914fd2cc22c0ca6289c4",
+    "q13": "e708ff76b9175d3c867810b7c6a8c71a",
+    "q14": "9ffaa655864a09854f1949922b379f5f",
+    "q17": "db6c9676efc6a4e3150a99b35ba386f3",
+    "q19": "9eff3c69e0a74b90a0931c76f93aac8a",
+    "q22": "62151d29452355a3be6c694067b84f7c",
+}
+
+
+@pytest.fixture(scope="module")
+def tpch():
+    return TpchDataset(scale_factor=1)
+
+
+@pytest.mark.parametrize("query", sorted(TPCH_SIGNATURES))
+def test_tpch_plan_signatures_are_pinned(tpch, query):
+    assert plan_signature(tpch.plan(query)) == TPCH_SIGNATURES[query]
 
 
 class TestMachineSignature:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import CHAOS_LIGHT
+from repro.cluster import ScaleoutWorkload, cluster_execute
 from repro.concurrency import ClientSpec, ResilienceConfig, ResilientWorkload
 from repro.core import AdaptiveParallelizer, ConvergenceParams
 from repro.engine import execute
@@ -86,6 +87,27 @@ def test_pool_gauges_match_pool_stats(micro):
     # Host families never leak into canonical output.
     canonical = observer.metrics.collect(host=False)
     assert not any(key.startswith("repro_pool_") for key in canonical)
+
+
+def test_owned_thread_pools_export_shipped_jobs(micro):
+    # ``shipped_jobs`` is a thread-backend counter that vanishes when
+    # the pool closes, so a pool owned by one call must be recorded
+    # before it closes -- by ``execute`` and ``cluster_execute`` alike.
+    observer = Observer()
+    execute(
+        micro.plan(), micro.sim_config(), workers=2, backend="thread",
+        trace=observer,
+    )
+    assert observer.metrics.collect()["repro_pool_shipped_jobs"] > 0
+    workload = ScaleoutWorkload(tuples_m=10)
+    cluster = workload.cluster(3, threads=4)
+    observer = Observer()
+    cluster_execute(
+        workload.plan(workload.sharded(3)), cluster,
+        workload.sim_config(cluster), workers=2, backend="thread",
+        trace=observer,
+    )
+    assert observer.metrics.collect()["repro_pool_shipped_jobs"] > 0
 
 
 def test_service_counters_match_workload_report(micro):
