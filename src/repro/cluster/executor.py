@@ -16,20 +16,19 @@ the retry computes are all pure functions of the config seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
-from ..analysis.sanitize import Sanitizer
 from ..chaos.faults import FaultPlan
 from ..chaos.injector import FaultInjector
 from ..config import SimulationConfig
 from ..engine.evalpool import EvalPool
-from ..engine.executor import _resolve_faults, _resolve_sanitize
+from ..engine.executor import _execute_alone, _resolve_faults
 from ..engine.memo import IntermediateCache
 from ..engine.scheduler import ExecutionResult
-from ..errors import ClusterError, InjectedFaultError, PlanError, StorageError
+from ..errors import ClusterError, InjectedFaultError, StorageError
 from ..observe import Observer
-from ..plan.analysis import analyze_plan
 from ..plan.graph import Plan
 from ..storage.sharded import ShardMap
 from .plans import resolve_placements
@@ -59,50 +58,19 @@ def cluster_execute(
     tracing, sanitizer) compose unchanged -- see
     :func:`repro.engine.executor.execute` for their contracts.
     """
-    if analyze:
-        report = analyze_plan(plan)
-        if report.has_errors:
-            raise PlanError(
-                "refusing to execute a plan with analyzer errors:\n"
-                + report.format()
-            )
-    if config is None:
-        config = SimulationConfig(machine=cluster.node)
-    injector = _resolve_faults(faults, config)
-    sanitizer = Sanitizer() if _resolve_sanitize(sanitize) else None
-    own_pool = evalpool is None and (
-        backend is not None or (workers is not None and workers > 1)
-    )
-    if own_pool:
-        with EvalPool(workers, backend=backend) as pool:
-            simulator = ClusterSimulator(
-                cluster,
-                config,
-                memo=memo,
-                evalpool=pool,
-                faults=injector,
-                observe=trace,
-                sanitizer=sanitizer,
-            )
-            sid = simulator.submit(plan)
-            simulator.run()
-            if trace is not None:
-                trace.record_pool(pool.stats())
-            return simulator.result(sid)
-    simulator = ClusterSimulator(
-        cluster,
-        config,
+    return _execute_alone(
+        functools.partial(ClusterSimulator, cluster),
+        plan,
+        config if config is not None else SimulationConfig(machine=cluster.node),
+        analyze=analyze,
         memo=memo,
         evalpool=evalpool,
-        faults=injector,
-        observe=trace,
-        sanitizer=sanitizer,
+        workers=workers,
+        backend=backend,
+        faults=faults,
+        trace=trace,
+        sanitize=sanitize,
     )
-    sid = simulator.submit(plan)
-    simulator.run()
-    if trace is not None and evalpool is not None:
-        trace.record_pool(evalpool.stats())
-    return simulator.result(sid)
 
 
 @dataclass

@@ -160,17 +160,13 @@ class ClusterSimulator(Simulator):
                 progress = True
         return batch
 
-    def _commit_dispatch(self, entry, results) -> None:
-        before = len(self._tasks)
-        super()._commit_dispatch(entry, results)
-        if self.cluster.nodes == 1 or len(self._tasks) == before:
-            return  # single-machine path, or the dispatch failed
-        task = self._tasks[-1]
-        if task.node is not entry.node or task.submission is not entry.sub:
-            return
+    def _commit_dispatch(self, entry, results) -> _Task | None:
+        task = super()._commit_dispatch(entry, results)
+        if task is None or self.cluster.nodes == 1:
+            return task  # the dispatch failed, or the single-machine path
         kind = entry.sub.kind[entry.node.nid]
         if kind not in NET_KINDS:
-            return
+            return task
         sub = entry.sub
         placements = self._placements[sub.sid]
         dst = placements[entry.node.nid]
@@ -189,7 +185,7 @@ class ClusterSimulator(Simulator):
                 and child.nid in sub.values
             )
         if remote <= 0:
-            return
+            return task
         wire = remote * self.config.data_scale
         fault = entry.fault
         if fault is not None and fault.kind is FaultKind.STRAGGLER:
@@ -210,6 +206,7 @@ class ClusterSimulator(Simulator):
                 "simulated bytes crossing node links",
                 node=f"n{dst}",
             ).inc(wire)
+        return task
 
     # ------------------------------------------------------------------
     # Time advance (network-aware)

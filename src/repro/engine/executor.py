@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
+from typing import Callable
 
 from ..analysis.sanitize import Sanitizer
 from ..chaos.faults import FaultPlan
@@ -101,6 +103,38 @@ def execute(
     :class:`~repro.errors.SanitizerError`.  Host cost only -- simulated
     results are identical with or without it.
     """
+    return _execute_alone(
+        Simulator,
+        plan,
+        config if config is not None else SimulationConfig(),
+        analyze=analyze,
+        memo=memo,
+        evalpool=evalpool,
+        workers=workers,
+        backend=backend,
+        faults=faults,
+        trace=trace,
+        sanitize=sanitize,
+    )
+
+
+def _execute_alone(
+    build: Callable[..., Simulator],
+    plan: Plan,
+    config: SimulationConfig,
+    *,
+    analyze: bool,
+    memo: IntermediateCache | None,
+    evalpool: EvalPool | None,
+    workers: int | None,
+    backend: str | None,
+    faults: FaultInjector | FaultPlan | None,
+    trace: Observer | None,
+    sanitize: bool | None,
+) -> ExecutionResult:
+    """The one-shot run behind :func:`execute` and
+    :func:`~repro.cluster.executor.cluster_execute`: ``build(config,
+    **parts)`` makes the simulator that runs ``plan`` alone."""
     if analyze:
         report = analyze_plan(plan)
         if report.has_errors:
@@ -108,37 +142,24 @@ def execute(
                 "refusing to execute a plan with analyzer errors:\n"
                 + report.format()
             )
-    if config is None:
-        config = SimulationConfig()
     injector = _resolve_faults(faults, config)
     sanitizer = Sanitizer() if _resolve_sanitize(sanitize) else None
-    if evalpool is None and (
+    owned = evalpool is None and (
         backend is not None or (workers is not None and workers > 1)
-    ):
-        with EvalPool(workers, backend=backend) as pool:
-            simulator = Simulator(
-                config,
-                memo=memo,
-                evalpool=pool,
-                faults=injector,
-                observe=trace,
-                sanitizer=sanitizer,
-            )
-            sid = simulator.submit(plan)
-            simulator.run()
-            if trace is not None:
-                trace.record_pool(pool.stats())
-            return simulator.result(sid)
-    simulator = Simulator(
-        config,
-        memo=memo,
-        evalpool=evalpool,
-        faults=injector,
-        observe=trace,
-        sanitizer=sanitizer,
     )
-    sid = simulator.submit(plan)
-    simulator.run()
-    if trace is not None and evalpool is not None:
-        trace.record_pool(evalpool.stats())
-    return simulator.result(sid)
+    scope = EvalPool(workers, backend=backend) if owned else nullcontext(evalpool)
+    with scope as pool:
+        simulator = build(
+            config,
+            memo=memo,
+            evalpool=pool,
+            faults=injector,
+            observe=trace,
+            sanitizer=sanitizer,
+        )
+        sid = simulator.submit(plan)
+        simulator.run()
+        if trace is not None and pool is not None:
+            # Before an owned pool closes: its backend counters go with it.
+            trace.record_pool(pool.stats())
+        return simulator.result(sid)

@@ -756,7 +756,7 @@ class Simulator:
         self,
         entry: _PendingDispatch,
         results: list[tuple[Intermediate, WorkProfile]],
-    ) -> None:
+    ) -> _Task | None:
         """Turn one evaluated dispatch into a running simulated task.
 
         Runs on the main thread in collection order -- the barrier that
@@ -765,13 +765,14 @@ class Simulator:
         operator exceptions (settled into :class:`EvalFailure` slots by
         the evaluation phase) -- are resolved here too, in the same
         order, so "which submission died first" is deterministic.
+        Returns the new task, or ``None`` when the dispatch failed.
         """
         sub, node, thread = entry.sub, entry.node, entry.thread
         if sub.failed is not None:
             # A same-batch entry already killed this submission; the
             # claimed thread is simply returned.
             self._drop_claim(sub, thread)
-            return
+            return None
         fault = entry.fault
         obs = self.observe
         if obs is not None and fault is not None:
@@ -789,7 +790,7 @@ class Simulator:
                 sid=sub.sid, nid=sub.node_index[node.nid], now=self.now
             )
             self._fail_submission(sub, thread, error)
-            return
+            return None
         memo = self.memo
         if memo is not None:
             fingerprint = entry.fingerprint
@@ -814,7 +815,7 @@ class Simulator:
                     settled = peeked
                 if isinstance(settled, EvalFailure):
                     self._fail_submission(sub, thread, settled.error)
-                    return
+                    return None
                 output, profile = settled
                 evicted = memo.put(fingerprint, output, profile)
                 if obs is not None:
@@ -835,7 +836,7 @@ class Simulator:
             settled = results[entry.job_index]
             if isinstance(settled, EvalFailure):
                 self._fail_submission(sub, thread, settled.error)
-                return
+                return None
             output, profile = settled
         nid = node.nid
         sub.values[nid] = output
@@ -888,6 +889,7 @@ class Simulator:
         tasks.append(task)
         if task.mem_active:
             self._shift_mem_demand(task.socket, 1)
+        return task
 
     # ------------------------------------------------------------------
     # Submission failure

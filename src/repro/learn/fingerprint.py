@@ -22,10 +22,9 @@ counted, and refused (a DOP learned on a 96-thread box must not seed a
 from __future__ import annotations
 
 from hashlib import blake2b
-from typing import Sequence
 
 from ..config import MachineSpec, SimulationConfig
-from ..plan.graph import Plan, PlanNode
+from ..plan.graph import Plan
 
 #: Digest width of template signatures (hex-encoded in store files).
 _SIGNATURE_BYTES = 16
@@ -34,34 +33,12 @@ _SIGNATURE_BYTES = 16
 def plan_signature(plan: Plan) -> str:
     """Hex template signature of ``plan``, stable across processes.
 
-    One shared post-order walk over the DAG (like
-    :meth:`Plan.fingerprints`), so cost is O(nodes) regardless of
-    sharing, and arbitrarily deep partitioned plans do not recurse.
+    One pass over :meth:`Plan.nodes` (inputs before consumers), so cost
+    is O(nodes) regardless of sharing: a node's digest covers its own
+    key and its inputs' digests.
     """
     memo: dict[int, bytes] = {}
-    _signature_into(plan.outputs, memo)
-    h = blake2b(digest_size=_SIGNATURE_BYTES)
-    for out in plan.outputs:
-        h.update(memo[out.nid])
-    return h.hexdigest()
-
-
-def _signature_into(roots: Sequence[PlanNode], memo: dict[int, bytes]) -> None:
-    _VISITING, _DONE = 0, 1
-    state: dict[int, int] = {nid: _DONE for nid in memo}
-    stack: list[PlanNode] = list(roots)
-    while stack:
-        node = stack[-1]
-        mark = state.get(node.nid)
-        if mark == _DONE:
-            stack.pop()
-            continue
-        if mark is None:
-            state[node.nid] = _VISITING
-            pending = [c for c in node.inputs if state.get(c.nid) != _DONE]
-            if pending:
-                stack.extend(pending)
-                continue
+    for node in plan.nodes():
         h = blake2b(digest_size=_SIGNATURE_BYTES)
         key = (
             type(node.op).__name__,
@@ -73,8 +50,10 @@ def _signature_into(roots: Sequence[PlanNode], memo: dict[int, bytes]) -> None:
         for child in node.inputs:
             h.update(memo[child.nid])
         memo[node.nid] = h.digest()
-        state[node.nid] = _DONE
-        stack.pop()
+    h = blake2b(digest_size=_SIGNATURE_BYTES)
+    for out in plan.outputs:
+        h.update(memo[out.nid])
+    return h.hexdigest()
 
 
 def machine_signature(

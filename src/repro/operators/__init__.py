@@ -1,6 +1,5 @@
 """Physical relational operators over the BAT storage model."""
 
-from . import fastpath
 from .aggregate import Aggregate
 from .base import Operator, WorkProfile, member_mask
 from .calc import Calc
@@ -64,7 +63,6 @@ __all__ = [
     "ValuePartition",
     "WorkProfile",
     "equal_partitions",
-    "fastpath",
     "value_partition_bounds",
     "hash_join_pairs",
     "member_mask",

@@ -15,7 +15,6 @@ import numpy as np
 
 from ..errors import OperatorError
 from ..storage.column import BAT, Candidates, ColumnSlice, Intermediate, align_candidates
-from . import fastpath
 from .base import Operator, WorkProfile
 
 
@@ -53,12 +52,7 @@ class Fetch(Operator):
             cands = align_candidates(rowids, view, strict=self.alignment == "strict")
             oids = cands.oids
             n = len(oids)
-            if (
-                fastpath.enabled()
-                and n
-                and cands.unique
-                and int(oids[-1]) - int(oids[0]) + 1 == n
-            ):
+            if n and cands.unique and int(oids[-1]) - int(oids[0]) + 1 == n:
                 # A duplicate-free sorted run whose span equals its
                 # length is dense: the gather degenerates to the
                 # identity over a contiguous stretch of the base

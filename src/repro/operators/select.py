@@ -18,7 +18,6 @@ import numpy as np
 from ..errors import OperatorError
 from ..storage.column import Candidates, ColumnSlice, Intermediate
 from ..storage.dtypes import OID_DTYPE
-from . import fastpath
 from .base import Operator, WorkProfile, as_oid_array, member_mask
 
 #: Above this share of kept candidates, a candidate selection compacts
@@ -213,11 +212,6 @@ class Select(Operator):
             # A sorted sub-list of a unique list stays unique.
             unique = True if source.unique else None
             dictionary = view.column.dictionary
-            if not fastpath.enabled():
-                cands = cands[(cands >= view.lo) & (cands < view.hi)]
-                local = cands - view.lo
-                mask = self.predicate.mask(view.values[local], dictionary)
-                return Candidates(cands[mask], check_sorted=False, unique=unique)
             # The candidate list is sorted, so the in-slice range is a
             # contiguous run: two binary searches replace the full
             # boolean scan, and the run itself is a zero-copy view.
@@ -237,17 +231,14 @@ class Select(Operator):
                 hits = np.compress(mask, cands)
             return Candidates(hits, check_sorted=False, unique=unique)
         mask = self.predicate.mask(view.values, view.column.dictionary)
-        if fastpath.enabled():
-            # ``flatnonzero`` already allocates a fresh strictly
-            # increasing array; offset it in place instead of paying a
-            # second allocation for ``.astype(...) + lo``.
-            hits = np.flatnonzero(mask)
-            if hits.dtype != OID_DTYPE:
-                hits = hits.astype(OID_DTYPE)
-            if view.lo:
-                hits += view.lo
-        else:
-            hits = np.flatnonzero(mask).astype(np.int64) + view.lo
+        # ``flatnonzero`` already allocates a fresh strictly increasing
+        # array; offset it in place instead of paying a second
+        # allocation for ``.astype(...) + lo``.
+        hits = np.flatnonzero(mask)
+        if hits.dtype != OID_DTYPE:
+            hits = hits.astype(OID_DTYPE)
+        if view.lo:
+            hits += view.lo
         return Candidates(hits, check_sorted=False, unique=True)
 
     def work_profile(

@@ -37,7 +37,6 @@ from .loadgen import (
     TenantMix,
     build_service,
     chaos_plan,
-    drive_live,
     preset,
     run_loadgen,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "decode_request",
     "decode_response",
     "default_tenants",
-    "drive_live",
     "encode_request",
     "encode_response",
     "error_response",

@@ -1,22 +1,14 @@
 """Seeded multi-tenant load generation with SLO reporting.
 
-Two drivers over the same tenant mixes:
-
-* :func:`run_loadgen` -- the deterministic path.  Builds a
-  :class:`~repro.serve.service.TenantLoadService` over a generated
-  TPC-H dataset and runs thousands of closed-loop clients in
-  *simulated* time, one tenant per lane of
-  :func:`~repro.concurrency.service.run_closed_loop`, the loop every
-  simulated service shares.  Same seed, same preset => byte-identical
-  :class:`~repro.serve.report.ServeReport` JSON on any host, any
-  worker count, any backend -- the golden fixtures under
-  ``tests/serve/golden/`` hold exactly these bytes, clean and under
-  ``CHAOS_LIGHT``.
-* :func:`drive_live` -- the socket path.  Opens real NDJSON
-  connections against a running :class:`~repro.serve.server.ReproServer`
-  and hammers it; latencies here are host time (not reproducible), so
-  it reports counts, not goldens.  The integration suite and the CI
-  smoke job use it to prove the asyncio front end survives concurrency.
+:func:`run_loadgen` builds a
+:class:`~repro.serve.service.TenantLoadService` over a generated TPC-H
+dataset and runs thousands of closed-loop clients in *simulated* time,
+one tenant per lane of
+:func:`~repro.concurrency.service.run_closed_loop`, the loop every
+simulated service shares.  Same seed, same preset => byte-identical
+:class:`~repro.serve.report.ServeReport` JSON on any host, any worker
+count, any backend -- the golden fixtures under ``tests/serve/golden/``
+hold exactly these bytes, clean and under ``CHAOS_LIGHT``.
 
 Presets: ``tiny`` (fixture-sized), ``smoke`` (CI, 200 clients),
 ``quick`` (the headline 1000-client/3-tenant cell), ``full``.
@@ -24,7 +16,6 @@ Presets: ``tiny`` (fixture-sized), ``smoke`` (CI, 200 clients),
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, replace
 
 from ..chaos.faults import CHAOS_HEAVY, CHAOS_LIGHT, FaultPlan
@@ -34,11 +25,6 @@ from ..observe.metrics import MetricsRegistry
 from ..sql import PlanCache
 from ..storage.catalog import Catalog
 from ..workloads.tpch import TpchDataset
-from .protocol import (
-    Request,
-    decode_response,
-    encode_request,
-)
 from .report import ServeReport
 from .service import TenantLoad, TenantLoadService
 from .tenants import TenantDirectory, default_tenants
@@ -48,7 +34,6 @@ __all__ = [
     "PRESETS",
     "TenantMix",
     "build_service",
-    "drive_live",
     "run_loadgen",
 ]
 
@@ -175,9 +160,6 @@ def chaos_plan(label: str) -> FaultPlan | None:
     raise ServeError(f"unknown chaos level {label!r}")
 
 
-# ----------------------------------------------------------------------
-# deterministic (simulated-time) driver
-# ----------------------------------------------------------------------
 def build_service(
     spec: LoadgenSpec,
     *,
@@ -244,96 +226,3 @@ def run_loadgen(
         metrics_lock=metrics_lock,
     )
     return service.run(seed=spec.seed)
-
-
-# ----------------------------------------------------------------------
-# live (socket) driver
-# ----------------------------------------------------------------------
-async def _drive_one_client(
-    host: str,
-    port: int,
-    tenant: str,
-    statements: tuple[str, ...],
-    queries: int,
-    counts: dict,
-) -> None:
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(encode_request(Request(op="hello", tenant=tenant)))
-        await writer.drain()
-        hello = decode_response(await reader.readline())
-        if not hello.ok:
-            counts["errors"] += 1
-            return
-        for i in range(queries):
-            sql = statements[i % len(statements)]
-            writer.write(
-                encode_request(Request(op="query", id=i, sql=sql, limit=4))
-            )
-            await writer.drain()
-            response = decode_response(await reader.readline())
-            counts["issued"] += 1
-            if response.ok:
-                counts["completed"] += 1
-            elif response.kind == "rejected":
-                counts["rejected"] += 1
-            else:
-                counts["errors"] += 1
-        writer.write(encode_request(Request(op="goodbye")))
-        await writer.drain()
-        await reader.readline()
-    except (ConnectionError, asyncio.IncompleteReadError):
-        counts["errors"] += 1
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except ConnectionError:
-            pass
-
-
-async def drive_live(
-    host: str,
-    port: int,
-    *,
-    mixes: tuple[TenantMix, ...] | None = None,
-    clients_per_tenant: int = 10,
-    queries_per_client: int = 3,
-    max_concurrency: int = 256,
-) -> dict:
-    """Hammer a live server over real sockets; returns count totals.
-
-    Host-time path: useful for liveness/robustness assertions
-    (everything answered, nothing hung), not for latency goldens.
-    """
-    if mixes is None:
-        mixes = _mixes(clients_per_tenant, clients_per_tenant, clients_per_tenant)
-    counts = {
-        mix.tenant: {"issued": 0, "completed": 0, "rejected": 0, "errors": 0}
-        for mix in mixes
-    }
-    gate = asyncio.Semaphore(max_concurrency)
-
-    async def gated(mix: TenantMix) -> None:
-        async with gate:
-            await _drive_one_client(
-                host,
-                port,
-                mix.tenant,
-                mix.statements,
-                queries_per_client,
-                counts[mix.tenant],
-            )
-
-    await asyncio.gather(
-        *(
-            gated(mix)
-            for mix in mixes
-            for _ in range(mix.clients)
-        )
-    )
-    totals = {
-        key: sum(c[key] for c in counts.values())
-        for key in ("issued", "completed", "rejected", "errors")
-    }
-    return {"by_tenant": counts, **totals}

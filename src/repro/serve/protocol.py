@@ -93,7 +93,22 @@ def encode_request(request: Request) -> bytes:
 
 def decode_request(line: bytes) -> Request:
     """Parse one client line into a validated :class:`Request`."""
-    doc = _decode_line(line)
+    return _request_of(_decode_line(line))
+
+
+def decode_query_body(body: bytes) -> Request:
+    """Parse an HTTP ``POST /query`` body into a validated query.
+
+    The body is one JSON object with the fields of an NDJSON ``query``
+    frame (``sql``, ``limit``, ``canonical``, ``tenant``, ``id``), whose
+    ``op`` is implied; it passes the same checks as
+    :func:`decode_request`, so both transports share one decoder.
+    """
+    doc = _decode_line(body) if body.strip() else {}
+    return _request_of({**doc, "op": "query"})
+
+
+def _request_of(doc: dict) -> Request:
     op = doc.get("op")
     if not isinstance(op, str):
         raise ProtocolError("request needs a string 'op'")
@@ -175,7 +190,8 @@ def _encode_line(doc: dict) -> bytes:
     line = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     if len(line) + 1 > MAX_LINE_BYTES:
         raise ProtocolError(
-            f"frame of {len(line)} bytes exceeds MAX_LINE_BYTES"
+            f"frame of {len(line) + 1} bytes exceeds MAX_LINE_BYTES "
+            f"({MAX_LINE_BYTES})"
         )
     return line + b"\n"
 
@@ -190,7 +206,9 @@ def _decode_line(line: bytes) -> dict:
         raise FramingError("empty line")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Bad JSON, bytes that are not UTF-8, or nesting deeper than
+        # the decoder's recursion limit.
         raise FramingError(f"malformed JSON frame: {exc}") from exc
     if not isinstance(doc, dict):
         raise FramingError("frame must be a JSON object")
@@ -214,7 +232,11 @@ class HttpRequest:
 
 
 def parse_http_head(head: bytes) -> HttpRequest:
-    """Parse request line + headers (everything before the blank line)."""
+    """Parse request line + headers (everything before the blank line).
+
+    A ``Content-Length`` must be an integer from 0 to
+    :data:`MAX_LINE_BYTES`, so the body is never read past the limit.
+    """
     try:
         text = head.decode("latin-1")
     except UnicodeDecodeError as exc:  # pragma: no cover - latin-1 total
@@ -231,6 +253,17 @@ def parse_http_head(head: bytes) -> HttpRequest:
         if not sep:
             raise ProtocolError(f"malformed HTTP header: {line!r}")
         headers[name.strip().lower()] = value.strip()
+    length = headers.get("content-length", "0")
+    if not (
+        length.isascii()
+        and length.isdigit()
+        and len(length) <= 20
+        and int(length) <= MAX_LINE_BYTES
+    ):
+        raise ProtocolError(
+            f"Content-Length {length!r} is not an integer from 0 to "
+            f"{MAX_LINE_BYTES}"
+        )
     return HttpRequest(method=parts[0], path=parts[1], headers=headers)
 
 

@@ -47,6 +47,7 @@ from .protocol import (
     HttpRequest,
     Request,
     Response,
+    decode_query_body,
     decode_request,
     encode_response,
     error_response,
@@ -311,7 +312,16 @@ class ReproServer:
             response = session.handle(request)
             if response is None:
                 response = await self._run_admitted(session, request)
-            writer.write(encode_response(response))
+            try:
+                frame = encode_response(response)
+            except ProtocolError as exc:
+                # A result too large for one line: say so, keep the session.
+                frame = encode_response(
+                    error_response(
+                        "protocol", f"{exc}; ask for a smaller limit", id=request.id
+                    )
+                )
+            writer.write(frame)
             await writer.drain()
             if session.closed:
                 return
@@ -352,7 +362,16 @@ class ReproServer:
     ) -> None:
         head = bytearray(first)
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # one header line past the stream limit
+                line = None
+            if line is None or len(head) + len(line) > MAX_LINE_BYTES:
+                writer.write(
+                    http_response(400, "HTTP head exceeds MAX_LINE_BYTES\n")
+                )
+                await writer.drain()
+                return
             head += line
             if line in (b"\r\n", b"\n", b""):
                 break
@@ -362,8 +381,11 @@ class ReproServer:
             writer.write(http_response(400, f"{exc}\n"))
             await writer.drain()
             return
-        length = int(http.headers.get("content-length", "0") or "0")
-        body = await reader.readexactly(length) if length else b""
+        length = int(http.headers.get("content-length", "0"))
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            return  # the client hung up before its whole body arrived
         http = HttpRequest(http.method, http.path, http.headers, body)
         writer.write(await self._dispatch_http(http))
         await writer.drain()
@@ -397,25 +419,15 @@ class ReproServer:
 
     async def _http_query(self, body: bytes) -> bytes:
         try:
-            doc = json.loads(body.decode() or "{}")
-            if not isinstance(doc, dict) or not isinstance(doc.get("sql"), str):
-                raise ValueError("body must be a JSON object with 'sql'")
-        except (ValueError, UnicodeDecodeError) as exc:
+            request = decode_query_body(body)
+        except ProtocolError as exc:
             return http_response(400, f"bad request body: {exc}\n")
-        tenant = doc.get("tenant") or self.directory.default.name
-        request = Request(
-            op="query",
-            sql=doc["sql"],
-            tenant=str(tenant),
-            limit=int(doc.get("limit", 8)),
-            canonical=bool(doc.get("canonical", False)),
-        )
+        tenant = request.tenant or self.directory.default.name
         try:
-            request.validate()
-            payload = await self.execute_query(str(tenant), request)
+            payload = await self.execute_query(tenant, request)
         except AdmissionError as exc:
             return http_response(429, f"{exc}\n")
-        except (ProtocolError, SqlError) as exc:
+        except SqlError as exc:
             return http_response(400, f"{exc}\n")
         except ReproError as exc:
             return http_response(500, f"{exc}\n")

@@ -243,6 +243,7 @@ class _QueryContext:
             lt, rt = self._owner(jc.left), self._owner(jc.right)
             if lt == rt:
                 raise SqlPlanError(f"self-join condition unsupported: {jc}")
+            self._check_comparable(jc.left, self, jc.right)
             adjacency[lt].append((rt, jc.left.name, jc.right.name))
             adjacency[rt].append((lt, jc.right.name, jc.left.name))
         edges: dict[str, list[_JoinEdge]] = {t: [] for t in self.tables}
@@ -344,6 +345,28 @@ class _QueryContext:
             raise SqlPlanError(f"string column {ref} takes only =, <>, IN and LIKE")
         if not all(strings):
             raise SqlPlanError(f"number compared with string column {ref}")
+
+    def _check_comparable(
+        self, ref: ColumnRef, other_ctx: _QueryContext, other: ColumnRef
+    ) -> None:
+        """The column-comparison rule (docs/sql.md): ``ref`` and
+        ``other`` (a column of ``other_ctx``) compare only when both are
+        numeric, or both are strings over equal dictionaries; otherwise
+        the kernels would compare dictionary codes."""
+        mine = self.catalog.column(self._owner(ref), ref.name).dictionary
+        theirs = other_ctx.catalog.column(
+            other_ctx._owner(other), other.name
+        ).dictionary
+        if mine is None and theirs is None:
+            return
+        if mine is None or theirs is None:
+            raise SqlPlanError(
+                f"string column compared with numeric column: {ref} and {other}"
+            )
+        if mine != theirs:
+            raise SqlPlanError(
+                f"string columns {ref} and {other} have different dictionaries"
+            )
 
     def _check_operands(self, expr: BinaryExpr) -> None:
         """Arithmetic reads numbers: a string column's codes are not."""
@@ -468,6 +491,7 @@ class _QueryContext:
             raise SqlPlanError("subquery must select exactly one plain column")
         sub_ctx = _QueryContext(SqlPlanner(self.catalog), sub)
         sub_col = sub.items[0].expr
+        self._check_comparable(cond.column, sub_ctx, sub_col)
         sub_cands = sub_ctx.fact_candidates()
         inner = sub_ctx._keys_node(
             sub_ctx._owner(sub_col), sub_col.name, sub_cands

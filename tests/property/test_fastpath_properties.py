@@ -1,11 +1,11 @@
-"""Property: the zero-copy fast paths are invisible to results.
+"""Property: the zero-copy kernels are invisible to results.
 
-Select/Fetch/Calc carry two implementations -- a materializing slow
-path and a zero-copy fast path (candidate views, binary-searched
-sub-ranges, dense-run column views).  Whatever columns, predicates, and
-candidate chains we draw, evaluating with the fast paths enabled must
-be bit-identical to evaluating with them forced off, and the work
-profiles (hence simulated times) must match exactly.
+Select and Fetch return views, shared candidate arrays and
+binary-searched sub-ranges instead of materializing their outputs.
+Whatever columns, predicates, and candidate chains we draw, their
+results must be bit-identical to the materializing reference
+implementations below (``reference_select``, ``reference_fetch``), and
+the work profiles (hence simulated times) must match exactly.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from repro.operators import (
     RangePredicate,
     Select,
     SemiJoin,
-    fastpath,
 )
+from repro.operators.base import as_oid_array
 from repro.operators.select import BOOLEAN_COMPACTION_SHARE
 from repro.storage import BAT, DBL, INT, LNG, STR, Candidates, Column
-from repro.storage.column import ColumnSlice
+from repro.storage.column import ColumnSlice, align_candidates
 
 
 def columns(draw, n):
@@ -39,6 +39,30 @@ def columns(draw, n):
         st.lists(st.integers(0, 100), min_size=n, max_size=n)
     )
     return Column("c", LNG, np.asarray(values, dtype=np.int64))
+
+
+def reference_select(predicate, inputs):
+    """Select by copying: mask the in-slice candidates at local offsets,
+    or offset a fresh ``flatnonzero`` of the whole slice."""
+    view = inputs[0]
+    dictionary = view.column.dictionary
+    if len(inputs) == 2:
+        source = inputs[1]
+        cands = as_oid_array(source, what="select candidates")
+        unique = True if source.unique else None
+        cands = cands[(cands >= view.lo) & (cands < view.hi)]
+        mask = predicate.mask(view.values[cands - view.lo], dictionary)
+        return Candidates(cands[mask], check_sorted=False, unique=unique)
+    mask = predicate.mask(view.values, dictionary)
+    hits = np.flatnonzero(mask).astype(np.int64) + view.lo
+    return Candidates(hits, check_sorted=False, unique=True)
+
+
+def reference_fetch(op, cands, view):
+    """Fetch candidate rows by gathering every value, dense run or not."""
+    aligned = align_candidates(cands, view, strict=op.alignment == "strict")
+    oids = aligned.oids
+    return BAT(oids, view.column.values[oids], view.dtype, view.column.dictionary)
 
 
 def intermediate_equal(a, b):
@@ -81,8 +105,7 @@ def test_select_fast_path_matches_slow_path(case):
     op = Select(predicate)
     inputs = [view] if cands is None else [view, cands]
     fast = op.evaluate(inputs)
-    with fastpath.disabled():
-        slow = op.evaluate(inputs)
+    slow = reference_select(predicate, inputs)
     assert intermediate_equal(fast, slow)
     assert op.work_profile(inputs, fast) == op.work_profile(inputs, slow)
 
@@ -110,8 +133,7 @@ def test_fetch_fast_path_matches_slow_path(case):
     view, cands = case
     op = Fetch()
     fast = op.evaluate([cands, view])
-    with fastpath.disabled():
-        slow = op.evaluate([cands, view])
+    slow = reference_fetch(op, cands, view)
     assert intermediate_equal(fast, slow)
     assert op.work_profile([cands, view], fast) == op.work_profile(
         [cands, view], slow
@@ -146,8 +168,9 @@ def test_select_chain_fast_path_matches_slow_path(values, n_chained):
         return cands
 
     fast = run()
-    with fastpath.disabled():
-        slow = run()
+    slow = reference_select(preds[0], [view])
+    for pred in preds[1:]:
+        slow = reference_select(pred, [view, slow])
     assert intermediate_equal(fast, slow)
 
 
@@ -291,15 +314,14 @@ def candidate_select_case(draw):
 @given(candidate_select_case())
 @settings(max_examples=300, deadline=None)
 def test_candidate_select_matches_reference(case):
-    """Fast path == ``fastpath.disabled()`` on oids, dtype and the unique
+    """``Select`` == ``reference_select`` on oids, dtype and the unique
     flag; the candidate buffer is shared only when every candidate in
     the slice qualified."""
     view, predicate, cands, kept = case
     op = Select(predicate)
     inputs = [view, cands]
     fast = op.evaluate(inputs)
-    with fastpath.disabled():
-        slow = op.evaluate(inputs)
+    slow = reference_select(predicate, inputs)
     assert len(fast) == kept
     assert fast.oids.dtype == slow.oids.dtype == np.int64
     np.testing.assert_array_equal(fast.oids, slow.oids)

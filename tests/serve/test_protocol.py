@@ -18,6 +18,7 @@ from repro.serve import (
     error_response,
 )
 from repro.serve.protocol import (
+    decode_query_body,
     http_response,
     is_http_preamble,
     parse_http_head,
@@ -61,6 +62,26 @@ class TestRequests:
         # Framing errors are the subtype that closes the connection.
         with pytest.raises(FramingError):
             decode_request(line)
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"\xff\xfe{}\n", b'{"op": "\x80"}\n', b"[" * 100_000 + b"\n"],
+        ids=["utf16-bom", "not-utf8", "deep-nesting"],
+    )
+    def test_undecodable_lines_are_framing_errors(self, line):
+        with pytest.raises(FramingError):
+            decode_request(line)
+
+    def test_query_body_shares_the_field_checks(self):
+        body = json.dumps({"sql": "SELECT 1 FROM t", "limit": 3, "tenant": "gold"})
+        assert decode_query_body(body.encode()) == Request(
+            op="query", sql="SELECT 1 FROM t", limit=3, tenant="gold"
+        )
+        for doc in ({"sql": "SELECT 1 FROM t", "limit": "x"}, {"tenant": "gold"}):
+            with pytest.raises(ProtocolError):
+                decode_query_body(json.dumps(doc).encode())
+        with pytest.raises(ProtocolError, match="non-empty sql"):
+            decode_query_body(b"")
 
     def test_framing_is_a_protocol_error(self):
         assert issubclass(FramingError, ProtocolError)
@@ -112,6 +133,23 @@ class TestHttp:
     def test_parse_head_rejects(self, head):
         with pytest.raises(ProtocolError):
             parse_http_head(head)
+
+    @pytest.mark.parametrize(
+        "length",
+        ["abc", "-5", "+5", "", "1e3", "\u00b2", "1" * 5000,
+         str(MAX_LINE_BYTES + 1), "1000000000000"],
+        ids=["word", "negative", "signed", "empty", "float", "superscript",
+             "5000-digits", "one-past-max", "terabyte"],
+    )
+    def test_content_length_must_fit_a_line(self, length):
+        head = f"POST /query HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        with pytest.raises(ProtocolError, match="Content-Length"):
+            parse_http_head(head.encode("latin-1"))
+
+    @pytest.mark.parametrize("length", ["0", "17", "007", str(MAX_LINE_BYTES)])
+    def test_content_length_in_range(self, length):
+        head = f"POST /query HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        assert parse_http_head(head.encode()).headers["content-length"] == length
 
     def test_http_response_shape(self):
         raw = http_response(429, "slow down\n")

@@ -125,6 +125,28 @@ class TestNdjsonSessions:
 
         server_runner(body)
 
+    def test_oversized_result_is_a_protocol_error(
+        self, server_runner, ndjson_client, monkeypatch
+    ):
+        async def body(server):
+            seen = _unhandled(asyncio.get_running_loop())
+            client = await ndjson_client.connect(server.host, server.port)
+            await client.call(op="hello", tenant="gold")
+            response = await client.call(
+                op="query", id=5, sql="SELECT fk, val FROM facts", limit=2000
+            )
+            assert response["kind"] == "protocol" and response["id"] == 5
+            assert "bytes exceeds MAX_LINE_BYTES (4000)" in response["error"]
+            assert "smaller limit" in response["error"]
+            # The session stays open and answers a smaller request.
+            small = await client.call(op="query", sql=COUNT_SQL, limit=1)
+            assert small["ok"]
+            await client.close()
+            assert seen == []
+
+        monkeypatch.setattr("repro.serve.protocol.MAX_LINE_BYTES", 4000)
+        server_runner(body)
+
     def test_framing_error_closes_connection(self, server_runner, ndjson_client):
         async def body(server):
             client = await ndjson_client.connect(server.host, server.port)
@@ -194,6 +216,91 @@ class TestHttp:
             assert status == 405
 
         server_runner(body)
+
+
+async def _raw_http(host: str, port: int, data: bytes) -> bytes:
+    """Send ``data`` as is and return the whole reply, or ``b""`` if the
+    server sends none within five seconds (the client then hangs up)."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(data)
+    await writer.drain()
+    try:
+        reply = await asyncio.wait_for(reader.read(), timeout=5)
+    except asyncio.TimeoutError:
+        reply = b""
+    writer.close()
+    await writer.wait_closed()
+    return reply
+
+
+def _unhandled(loop: asyncio.AbstractEventLoop) -> list[dict]:
+    """Collect what reaches the loop's exception handler from now on."""
+    seen: list[dict] = []
+    loop.set_exception_handler(lambda _loop, context: seen.append(context))
+    return seen
+
+
+class TestHostileHttp:
+    """Every hostile ``POST /query`` gets a 400 and raises nothing into
+    the event loop."""
+
+    @pytest.mark.parametrize(
+        "length,body",
+        [("abc", b"{}"), ("-5", b"{}"), ("1000000000000", b"{}")],
+        ids=["word", "negative", "terabyte"],
+    )
+    def test_bad_content_length(self, server_runner, length, body):
+        async def run(server):
+            seen = _unhandled(asyncio.get_running_loop())
+            head = (
+                f"POST /query HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {length}\r\n\r\n"
+            ).encode()
+            reply = await _raw_http(server.host, server.port, head + body)
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert b"Content-Length" in reply.partition(b"\r\n\r\n")[2]
+            assert seen == []
+
+        server_runner(run)
+
+    @pytest.mark.parametrize(
+        "headers",
+        [b"X: " + b"a" * 5000 + b"\r\n", b"X: a\r\n" * 1000],
+        ids=["long-line", "many-lines"],
+    )
+    def test_head_past_the_limit(self, server_runner, monkeypatch, headers):
+        async def run(server):
+            seen = _unhandled(asyncio.get_running_loop())
+            data = b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+            reply = await _raw_http(server.host, server.port, data)
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert seen == []
+
+        monkeypatch.setattr("repro.serve.server.MAX_LINE_BYTES", 4000)
+        server_runner(run)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"sql": COUNT_SQL, "limit": "x"},
+            {"sql": COUNT_SQL, "limit": [1]},
+            {"sql": COUNT_SQL, "tenant": {"a": 1}},
+        ],
+        ids=["limit-string", "limit-list", "tenant-object"],
+    )
+    def test_bad_fields(self, server_runner, doc):
+        async def run(server):
+            seen = _unhandled(asyncio.get_running_loop())
+            body = json.dumps(doc).encode()
+            head = (
+                f"POST /query HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode()
+            reply = await _raw_http(server.host, server.port, head + body)
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert seen == []
+
+        server_runner(run)
 
 
 def _gate_engine(server) -> tuple[threading.Event, threading.Event]:

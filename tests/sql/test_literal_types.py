@@ -101,3 +101,60 @@ def test_numbers_against_numeric_columns_still_answer(dataset):
     assert _count(
         dataset, "SELECT COUNT(*) FROM part WHERE p_size IN (1, 2.0, -3)"
     ) == int(np.isin(size, [1, 2, -3]).sum())
+
+
+@pytest.mark.parametrize(
+    "sql,message",
+    [
+        (
+            "SELECT COUNT(*) FROM customer "
+            "WHERE c_mktsegment IN (SELECT o_orderpriority FROM orders)",
+            "different dictionaries",
+        ),
+        (
+            "SELECT COUNT(*) FROM customer "
+            "WHERE c_mktsegment NOT IN (SELECT o_orderpriority FROM orders)",
+            "different dictionaries",
+        ),
+        (
+            "SELECT COUNT(*) FROM customer "
+            "WHERE c_custkey IN (SELECT c_mktsegment FROM customer)",
+            "string column compared with numeric",
+        ),
+        (
+            "SELECT COUNT(*) FROM customer, nation WHERE c_mktsegment = n_name",
+            "different dictionaries",
+        ),
+        (
+            "SELECT COUNT(*) FROM customer, nation WHERE c_custkey = n_name",
+            "string column compared with numeric",
+        ),
+    ],
+    ids=[
+        "in-subquery-other-dictionary", "not-in-subquery-other-dictionary",
+        "number-in-strings", "join-other-dictionary", "join-number-string",
+    ],
+)
+def test_mismatched_columns_are_a_plan_error(dataset, sql, message):
+    """Without the rule these compared dictionary codes: at sf=1 the
+    first returned 150 (right: 0), the second 0 (right: 150), the third
+    5, and both joins 150."""
+    with pytest.raises(SqlPlanError, match=message):
+        plan_sql(sql, dataset.catalog)
+
+
+def test_string_columns_over_one_dictionary_still_compare(dataset):
+    customer = dataset.catalog.table("customer")
+    segment = customer.column("c_mktsegment").values
+    rich = customer.column("c_acctbal").values > 990_000
+    wanted = np.isin(segment, segment[rich])
+    assert _count(
+        dataset,
+        "SELECT COUNT(*) FROM customer WHERE c_mktsegment IN "
+        "(SELECT c_mktsegment FROM customer WHERE c_acctbal > 990000)",
+    ) == int(wanted.sum())
+    assert _count(
+        dataset,
+        "SELECT COUNT(*) FROM customer WHERE c_mktsegment NOT IN "
+        "(SELECT c_mktsegment FROM customer WHERE c_acctbal > 990000)",
+    ) == int((~wanted).sum())
