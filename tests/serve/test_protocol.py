@@ -56,19 +56,19 @@ class TestRequests:
             decode_request(json.dumps(doc).encode() + b"\n")
 
     @pytest.mark.parametrize(
-        "line", [b"\n", b"not json\n", b"[1, 2]\n", b"x" * (MAX_LINE_BYTES + 1)]
+        "line",
+        [
+            b"\n",
+            b"not json\n",
+            b"[1, 2]\n",
+            b"x" * (MAX_LINE_BYTES + 1),
+            pytest.param(b"\xff\xfe{}\n", id="utf16-bom"),
+            pytest.param(b'{"op": "\x80"}\n', id="not-utf8"),
+            pytest.param(b"[" * 100_000 + b"\n", id="deep-nesting"),
+        ],
     )
     def test_framing_violations(self, line):
         # Framing errors are the subtype that closes the connection.
-        with pytest.raises(FramingError):
-            decode_request(line)
-
-    @pytest.mark.parametrize(
-        "line",
-        [b"\xff\xfe{}\n", b'{"op": "\x80"}\n', b"[" * 100_000 + b"\n"],
-        ids=["utf16-bom", "not-utf8", "deep-nesting"],
-    )
-    def test_undecodable_lines_are_framing_errors(self, line):
         with pytest.raises(FramingError):
             decode_request(line)
 
@@ -128,23 +128,30 @@ class TestHttp:
         assert request.headers["host"] == "h"
 
     @pytest.mark.parametrize(
-        "head", [b"GET\r\n\r\n", b"GET / SPDY/9\r\n\r\n", b"GET / HTTP/1.1\r\nbad\r\n\r\n"]
+        "head",
+        [
+            b"GET\r\n\r\n",
+            b"GET / SPDY/9\r\n\r\n",
+            b"GET / HTTP/1.1\r\nbad\r\n\r\n",
+            *(
+                pytest.param(
+                    f"POST / HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+                    .encode("latin-1"),
+                    id=f"content-length-{name}",
+                )
+                for name, length in [
+                    ("word", "abc"), ("negative", "-5"), ("signed", "+5"),
+                    ("empty", ""), ("float", "1e3"), ("superscript", "\u00b2"),
+                    ("5000-digits", "1" * 5000),
+                    ("one-past-max", str(MAX_LINE_BYTES + 1)),
+                    ("terabyte", "1000000000000"),
+                ]
+            ),
+        ],
     )
     def test_parse_head_rejects(self, head):
         with pytest.raises(ProtocolError):
             parse_http_head(head)
-
-    @pytest.mark.parametrize(
-        "length",
-        ["abc", "-5", "+5", "", "1e3", "\u00b2", "1" * 5000,
-         str(MAX_LINE_BYTES + 1), "1000000000000"],
-        ids=["word", "negative", "signed", "empty", "float", "superscript",
-             "5000-digits", "one-past-max", "terabyte"],
-    )
-    def test_content_length_must_fit_a_line(self, length):
-        head = f"POST /query HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
-        with pytest.raises(ProtocolError, match="Content-Length"):
-            parse_http_head(head.encode("latin-1"))
 
     @pytest.mark.parametrize("length", ["0", "17", "007", str(MAX_LINE_BYTES)])
     def test_content_length_in_range(self, length):
