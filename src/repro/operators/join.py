@@ -16,7 +16,9 @@ hash table.  Anything else (float keys, wide spans, duplicate build
 keys) is matched with a sort + binary search on the build side.  Both
 yield the same (outer oid, inner oid) pairs in outer order, bit for bit.
 ``SemiJoin`` applies the same rule to its probe side through
-:func:`~repro.operators.base.member_mask`.
+:func:`~repro.operators.base.member_mask`, unless one of its sides is a
+whole dense base column: then it reads that column's kept index (see
+``SemiJoin``), as MonetDB probes the hash table kept on a persistent BAT.
 Simulated *time* comes from hash-join cost formulas, not from the numpy
 runtime.
 """
@@ -28,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import OperatorError
-from ..storage.column import BAT, ColumnSlice, Intermediate
+from ..storage.column import BAT, Column, ColumnSlice, Intermediate
 from ..storage.dtypes import OID, OID_DTYPE
 from .base import (
     Operator,
@@ -41,6 +43,14 @@ from .base import (
     member_mask,
     pairs_of,
 )
+
+
+#: The largest share of its probe column's rows that a semi-join gathers
+#: from the column's posting index; a larger output scans the column.
+#: Half the measured break-even of about 1/8 on the sf=100 ``l_partkey``
+#: column (600,000 rows, 20,000 values; docs/perf.md, "Whole-column
+#: membership").
+POSTINGS_MAX_SHARE = 1 / 16
 
 
 def _no_pairs() -> tuple[np.ndarray, np.ndarray]:
@@ -180,15 +190,91 @@ class Join(Operator):
         return "hashjoin"
 
 
+def _whole_dense_column(value: Intermediate) -> Column | None:
+    """The base column of a slice over a whole column under the dense-key
+    rule, else None."""
+    bounds = full_column_bounds(value)
+    if bounds is None or dense_key_range(value.values, bounds) is None:
+        return None
+    return value.column
+
+
+def _keys_of(inner: Intermediate) -> np.ndarray:
+    """A semi-join's key values; a slice's own, without building its oids."""
+    if isinstance(inner, ColumnSlice):
+        return inner.values
+    return pairs_of(inner, what="semijoin inner")[1]
+
+
+def _posting_heads(column: Column, keys: np.ndarray) -> np.ndarray | None:
+    """The sorted rows of ``column`` whose value is one of ``keys``,
+    gathered from its posting index as fresh int64; None when they would
+    reach :data:`POSTINGS_MAX_SHARE` of the column, where a scan is
+    cheaper.
+
+    A first check from the mean rows per value turns large key sets away
+    before any sort; the exact row count of the distinct in-range keys
+    decides the rest.
+    """
+    if not is_int64_exact(keys.dtype):
+        return None
+    lo, hi = column.int_bounds()  # type: ignore[misc]
+    limit = len(column) * POSTINGS_MAX_SHARE
+    if len(keys) * (len(column) // (hi - lo + 1) + 1) >= limit:
+        return None
+    offsets = np.unique(keys[(keys >= lo) & (keys <= hi)]).astype(np.intp) - lo
+    rows, starts = column.postings()  # type: ignore[misc]
+    begins = starts[offsets]
+    counts = starts[offsets + 1] - begins
+    total = int(counts.sum())
+    if total >= limit:
+        return None
+    # Each key's run rows[begin:begin + count], laid end to end.
+    shift = np.repeat(begins - (np.cumsum(counts) - counts), counts)
+    heads = rows[np.arange(total) + shift]
+    heads.sort()
+    return heads.astype(OID_DTYPE, copy=False)
+
+
+def _presence_mask(column: Column, values: np.ndarray, invert: bool) -> np.ndarray:
+    """``np.isin(values, column.values, invert=invert)``, read from the
+    column's presence table; values outside its ``[lo, hi]`` are absent."""
+    table = column.presence()
+    lo, hi = column.int_bounds()  # type: ignore[misc]
+    if len(values) and lo <= values.min() and values.max() <= hi:
+        mask = table[np.subtract(values, lo, dtype=np.intp)]
+    else:
+        inside = (values >= lo) & (values <= hi)
+        mask = np.zeros(len(values), dtype=bool)
+        mask[inside] = table[np.subtract(values[inside], lo, dtype=np.intp)]
+    if invert:
+        np.logical_not(mask, out=mask)
+    return mask
+
+
 class SemiJoin(Operator):
     """Outer tuples with at least one inner match (EXISTS / IN-subquery).
 
     Output is a BAT of (outer oid, outer value) for the qualifying outer
     tuples, preserving outer order; ``negate`` keeps the tuples with no
-    match (anti-join, NOT IN).  Membership comes from
-    :func:`~repro.operators.base.member_mask`, which reads it from a
-    direct table over the outer values' range when they pass the
-    dense-key rule.
+    match (anti-join, NOT IN).  Three paths give the same output, bit for
+    bit, chosen from the inputs alone:
+
+    - the outer (probe) side is a whole dense base column, the join is
+      not negated, and the inner keys hit less than
+      :data:`POSTINGS_MAX_SHARE` of its rows: the rows of the distinct
+      in-range keys are gathered from the column's
+      :meth:`~repro.storage.column.Column.postings` and sorted;
+    - the inner (key) side is a whole dense base column: each outer value
+      is looked up in the column's
+      :meth:`~repro.storage.column.Column.presence` table;
+    - otherwise membership comes from
+      :func:`~repro.operators.base.member_mask`, which reads it from a
+      direct table over the outer values' range when they pass the
+      dense-key rule.
+
+    Both column structures are built by the first call that needs them
+    and kept with the column.
     """
 
     kind = "semijoin"
@@ -201,21 +287,28 @@ class SemiJoin(Operator):
     def evaluate(self, inputs: Sequence[Intermediate]) -> BAT:
         if len(inputs) != 2:
             raise OperatorError(f"semijoin takes 2 inputs, got {len(inputs)}")
-        outer = inputs[0]
+        outer, inner = inputs
+        probed = None if self.negate else _whole_dense_column(outer)
+        if probed is not None:
+            heads = _posting_heads(probed, _keys_of(inner))
+            if heads is not None:
+                return BAT(heads, probed.values[heads], probed.dtype, probed.dictionary)
         sliced = isinstance(outer, ColumnSlice)
         if sliced:
             outer_values = outer.values
         else:
             outer_heads, outer_values = pairs_of(outer, what="semijoin outer")
-        __, inner_values = pairs_of(inputs[1], what="semijoin inner")
-        rows = np.flatnonzero(
-            member_mask(
+        keyed = _whole_dense_column(inner)
+        if keyed is not None and is_int64_exact(outer_values.dtype):
+            mask = _presence_mask(keyed, outer_values, self.negate)
+        else:
+            mask = member_mask(
                 outer_values,
-                inner_values,
+                _keys_of(inner),
                 invert=self.negate,
                 bounds=full_column_bounds(outer),
             )
-        )
+        rows = np.flatnonzero(mask)
         values = outer_values[rows]
         if sliced:
             # A slice's heads are its rows plus ``lo``: offset the fresh

@@ -75,12 +75,16 @@ class RangePredicate(Predicate):
         self.hi_inclusive = hi_inclusive
 
     def mask(self, values: np.ndarray, dictionary: tuple[str, ...] | None) -> np.ndarray:
-        result = np.ones(len(values), dtype=bool)
+        """One comparison per bound, joined by one ``&`` when both are set."""
         if self.lo is not None:
-            result &= values >= self.lo if self.lo_inclusive else values > self.lo
-        if self.hi is not None:
-            result &= values <= self.hi if self.hi_inclusive else values < self.hi
-        return result
+            above = values >= self.lo if self.lo_inclusive else values > self.lo
+            if self.hi is None:
+                return above
+        below = values <= self.hi if self.hi_inclusive else values < self.hi
+        if self.lo is None:
+            return below
+        above &= below
+        return above
 
     def describe(self) -> str:
         lo_b = "[" if self.lo_inclusive else "("

@@ -248,13 +248,18 @@ class ReproServer:
                 work.future.set_exception(exc)
             else:
                 work.future.set_result(cfut.result())
-        if completed:
-            self._counter(
-                "repro_serve_completed_total",
-                "queries completed",
-                tenant=spec.name,
-            ).inc()
         self._pump()
+
+    def _note_delivered(self, tenant: str) -> None:
+        """Count a result that reached its client as one completed query.
+
+        Counted here, not when the engine finishes, so that a result
+        answered with an error instead (a frame too large to send) is
+        not counted.
+        """
+        self._counter(
+            "repro_serve_completed_total", "queries completed", tenant=tenant
+        ).inc()
 
     # ------------------------------------------------------------------
     # connection handling
@@ -311,16 +316,9 @@ class ReproServer:
                 continue
             response = session.handle(request)
             if response is None:
-                response = await self._run_admitted(session, request)
-            try:
+                frame = await self._run_admitted(session, request)
+            else:
                 frame = encode_response(response)
-            except ProtocolError as exc:
-                # A result too large for one line: say so, keep the session.
-                frame = encode_response(
-                    error_response(
-                        "protocol", f"{exc}; ask for a smaller limit", id=request.id
-                    )
-                )
             writer.write(frame)
             await writer.drain()
             if session.closed:
@@ -337,21 +335,35 @@ class ReproServer:
         except ConnectionError:
             return b""
 
-    async def _run_admitted(self, session: Session, request: Request) -> Response:
+    async def _run_admitted(self, session: Session, request: Request) -> bytes:
+        """Execute an admitted query; the encoded frame that answers it."""
         assert session.tenant is not None
         try:
             payload = await self.execute_query(session.tenant.name, request)
         except AdmissionError as exc:
             session.note_result(ok=False, rejected=True)
-            return error_response("rejected", str(exc), id=request.id)
+            return encode_response(error_response("rejected", str(exc), id=request.id))
         except SqlError as exc:
             session.note_result(ok=False)
-            return error_response("sql", str(exc), id=request.id)
+            return encode_response(error_response("sql", str(exc), id=request.id))
         except ReproError as exc:
             session.note_result(ok=False)
-            return error_response("internal", str(exc), id=request.id)
+            return encode_response(error_response("internal", str(exc), id=request.id))
+        try:
+            frame = encode_response(
+                Response(type="result", id=request.id, body=payload)
+            )
+        except ProtocolError as exc:
+            # A result too large for one line: say so, keep the session.
+            session.note_result(ok=False)
+            return encode_response(
+                error_response(
+                    "protocol", f"{exc}; ask for a smaller limit", id=request.id
+                )
+            )
         session.note_result(ok=True)
-        return Response(type="result", id=request.id, body=payload)
+        self._note_delivered(session.tenant.name)
+        return frame
 
     # ---------------------------- HTTP -------------------------------
     async def _serve_http(
@@ -422,15 +434,20 @@ class ReproServer:
             request = decode_query_body(body)
         except ProtocolError as exc:
             return http_response(400, f"bad request body: {exc}\n")
-        tenant = request.tenant or self.directory.default.name
         try:
-            payload = await self.execute_query(tenant, request)
+            # An unknown tenant is the client's mistake, as in ``hello``.
+            tenant = self.directory.get(request.tenant or self.directory.default.name)
+        except ServeError as exc:
+            return http_response(400, f"{exc}\n")
+        try:
+            payload = await self.execute_query(tenant.name, request)
         except AdmissionError as exc:
             return http_response(429, f"{exc}\n")
         except SqlError as exc:
             return http_response(400, f"{exc}\n")
         except ReproError as exc:
             return http_response(500, f"{exc}\n")
+        self._note_delivered(tenant.name)
         return http_response(
             200,
             json.dumps({"ok": True, **payload}) + "\n",

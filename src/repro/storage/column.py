@@ -33,9 +33,26 @@ _UNKNOWN = object()
 
 
 class Column:
-    """An immutable base column over the global oid space ``[0, len)``."""
+    """An immutable base column over the global oid space ``[0, len)``.
 
-    __slots__ = ("name", "dtype", "values", "dictionary", "uid", "_bounds", "__weakref__")
+    An integer column derives three things from its values on first use
+    and keeps them, since the values never change: its
+    :meth:`int_bounds`, and two whole-column membership structures that
+    :class:`~repro.operators.join.SemiJoin` reads when one of its sides
+    is the whole column.  The :meth:`postings` index says which rows hold
+    a value (a semi-join probing the column gathers them instead of
+    scanning); the :meth:`presence` table says whether a value occurs (a
+    semi- or anti-join keyed on the column looks its probe values up in
+    it).  Both are indexed by ``value - lo`` over the column's
+    ``[lo, hi]``, so they fit dense columns, whose span is about the row
+    count: the kernels build them only for columns under the dense-key
+    rule (:func:`~repro.operators.base.dense_key_range`).
+    """
+
+    __slots__ = (
+        "name", "dtype", "values", "dictionary", "uid",
+        "_bounds", "_postings", "_presence", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -67,6 +84,8 @@ class Column:
         # a fingerprint, which keeps memoization stale-free.
         self.uid = next(_column_counter)
         self._bounds: object = _UNKNOWN
+        self._postings: object = _UNKNOWN
+        self._presence: object = _UNKNOWN
 
     def int_bounds(self) -> tuple[int, int] | None:
         """``(min, max)`` of an integer column as Python ints; None when
@@ -86,6 +105,58 @@ class Column:
                 bounds = None
             self._bounds = bounds
         return bounds  # type: ignore[return-value]
+
+    def postings(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(rows, starts)``, the column's posting index; None when the
+        column is empty or not integer.
+
+        ``rows`` holds every row id ordered by value, the rows of one
+        value in increasing order (a stable sort), and the rows holding
+        value ``v`` are ``rows[starts[v - lo]:starts[v - lo + 1]]``, with
+        ``lo`` from :meth:`int_bounds`.  Both arrays are read-only, int32
+        when the column has fewer than 2**31 rows and int64 otherwise;
+        ``starts`` has one entry per value of ``[lo, hi]`` plus one.
+
+        Built on first use and kept.  Racing first calls both build the
+        same index, and one of them is kept.
+        """
+        postings = self._postings
+        if postings is _UNKNOWN:
+            bounds = self.int_bounds()
+            if bounds is None:
+                postings = None
+            else:
+                lo, hi = bounds
+                offsets = np.subtract(self.values, lo, dtype=np.intp)
+                index = np.int32 if len(offsets) < 2**31 else np.int64
+                rows = np.argsort(offsets, kind="stable").astype(index)
+                starts = np.zeros(hi - lo + 2, dtype=index)
+                np.cumsum(np.bincount(offsets, minlength=hi - lo + 1), out=starts[1:])
+                rows.setflags(write=False)
+                starts.setflags(write=False)
+                postings = (rows, starts)
+            self._postings = postings
+        return postings  # type: ignore[return-value]
+
+    def presence(self) -> np.ndarray | None:
+        """A read-only bool table over the column's ``[lo, hi]`` whose
+        entry ``v - lo`` says whether value ``v`` occurs in the column;
+        None when the column is empty or not integer.
+
+        Built on first use and kept, like :meth:`postings`.
+        """
+        table = self._presence
+        if table is _UNKNOWN:
+            bounds = self.int_bounds()
+            if bounds is None:
+                table = None
+            else:
+                lo, hi = bounds
+                table = np.zeros(hi - lo + 1, dtype=bool)
+                table[np.subtract(self.values, lo, dtype=np.intp)] = True
+                table.setflags(write=False)
+            self._presence = table
+        return table  # type: ignore[return-value]
 
     def cache_key(self) -> tuple:
         """Leaf key used by plan fingerprinting (identity, not content)."""

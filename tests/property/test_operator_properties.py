@@ -15,6 +15,7 @@ or ``np.isin``.
 
 from __future__ import annotations
 
+import unittest.mock
 from collections import defaultdict
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.operators import (
     RangePredicate,
     Select,
     SemiJoin,
+    join,
     member_mask,
     merge_func_for,
 )
@@ -44,7 +46,7 @@ from repro.operators.base import (
 )
 from repro.operators.groupby import _group_index, _reduce_by_group
 from repro.operators.join import _sorted_join_pairs, hash_join_pairs
-from repro.storage import BAT, INT, LNG, OID, STR, Candidates, Column
+from repro.storage import BAT, DBL, INT, LNG, OID, STR, Candidates, Column, DataType
 
 small_ints = st.integers(min_value=-1000, max_value=1000)
 arrays = st.lists(small_ints, min_size=1, max_size=250)
@@ -493,6 +495,12 @@ def _assert_matches_isin(values, keys):
         np.testing.assert_array_equal(got, expected)
 
 
+def _int_type(dtype) -> DataType:
+    """A column type for any integer dtype (the catalog has int32 and int64)."""
+    dtype = np.dtype(dtype)
+    return DataType(dtype.name, dtype, dtype.itemsize)
+
+
 def _set_semijoin(heads, values, keys, negate):
     """(head, value) pairs of the outer rows that [do not] hit ``keys``."""
     wanted = set(keys.tolist())
@@ -611,6 +619,92 @@ class TestDenseMembership:
         left, right = _sorted_join_pairs(probe.head, keys, view.oids(), view.values)
         np.testing.assert_array_equal(joined.head, left)
         np.testing.assert_array_equal(joined.tail, right)
+
+    @settings(max_examples=300)
+    @given(
+        member_values(dtypes=[np.int8, np.int16, np.int32, np.int64]),
+        st.sampled_from(["probe", "keys"]),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([join.POSTINGS_MAX_SHARE, 64.0]),
+        st.data(),
+    )
+    def test_whole_column_paths_match_np_isin(
+        self, values, side, whole, negate, share, data
+    ):
+        """A dense column as the probe side (posting index) or the key
+        side (presence table) of a semi- or anti-join, whole or sliced:
+        the rows ``np.isin`` picks, as fresh int64 heads.  A share of 64
+        sends nearly every probe-side semi-join over the whole column to
+        the index, small as these columns are."""
+        column = Column("c", _int_type(values.dtype), values)
+        if whole:
+            view = column.full_slice()
+        else:
+            lo = data.draw(st.integers(0, len(values) - 1))
+            hi = data.draw(st.integers(lo + 1, len(values)))
+            assume((lo, hi) != (0, len(values)))
+            view = column.slice(lo, hi)
+        # Keys or probe values of any integer dtype: duplicates, values
+        # outside the column's [lo, hi], the dtype's extremes, or none.
+        other = data.draw(member_keys(values))
+        info = np.iinfo(other.dtype)
+        hits = values[(values >= info.min) & (values <= info.max)]
+        other = np.concatenate([hits[: data.draw(st.integers(0, 4))], other])
+        if data.draw(st.booleans()):
+            other = np.concatenate([other, other[::-1]])
+        other = other.astype(info.dtype)
+        other_heads = np.arange(len(other), dtype=np.int64) * 3 + 7
+        other_bat = BAT(other_heads, other, _int_type(other.dtype))
+        if side == "probe":
+            outer, inner = view, other_bat
+            heads = np.arange(view.lo, view.hi)
+            probe, keys = view.values, other
+        else:
+            outer, inner = other_bat, view
+            heads, probe, keys = other_heads, other, view.values
+        with unittest.mock.patch.object(join, "POSTINGS_MAX_SHARE", share):
+            got = SemiJoin(negate=negate).evaluate([outer, inner])
+        rows = np.flatnonzero(np.isin(probe, keys, invert=negate))
+        assert got.head.dtype == np.int64
+        np.testing.assert_array_equal(got.head, heads[rows])
+        assert got.tail.dtype == probe.dtype
+        np.testing.assert_array_equal(got.tail, probe[rows])
+        assert got.dtype == (view.dtype if side == "probe" else other_bat.dtype)
+        # Fresh heads: no view of an input, the column or its structures.
+        kept = [values, other, other_heads, *(column.postings() or ())]
+        for array in kept:
+            assert not np.shares_memory(got.head, array)
+
+    def test_whole_column_structures_are_built_once_and_read_only(self):
+        values = np.array([7, -3, 12, 5, 7, -3, 7], dtype=np.int32)
+        column = Column("c", INT, values)
+        keys = BAT(np.arange(3), np.array([7, 12, 7], dtype=np.int32), INT)
+        with unittest.mock.patch("numpy.argsort", wraps=np.argsort) as argsort, \
+                unittest.mock.patch.object(join, "POSTINGS_MAX_SHARE", 2.0):
+            first = SemiJoin().evaluate([column.full_slice(), keys])
+            postings = column.postings()
+            second = SemiJoin().evaluate([column.full_slice(), keys])
+            assert argsort.call_count == 1
+        assert column.postings() is postings
+        assert first.head.tolist() == second.head.tolist() == [0, 2, 4, 6]
+        assert not np.shares_memory(first.head, second.head)
+        rows, starts = postings
+        # Rows by value (-3, 5, 7, 12), each value's rows in row order.
+        assert rows.tolist() == [1, 5, 3, 0, 4, 6, 2]
+        assert rows.dtype == starts.dtype == np.int32
+        assert len(starts) == 17  # one per value of [-3, 12], plus one
+        assert rows[starts[7 + 3]:starts[7 + 3 + 1]].tolist() == [0, 4, 6]
+        probe = BAT(np.arange(4), np.array([5, 6, -4, 12], dtype=np.int64), LNG)
+        anti = SemiJoin(negate=True).evaluate([probe, column.full_slice()])
+        table = column.presence()
+        assert anti.head.tolist() == [1, 2] and column.presence() is table
+        assert np.flatnonzero(table).tolist() == [0, 8, 10, 15]
+        for array in (rows, starts, table):
+            assert not array.flags.writeable
+        for empty in (Column("e", LNG, np.empty(0, dtype=np.int64)),
+                      Column("f", DBL, np.array([1.5]))):
+            assert empty.postings() is None and empty.presence() is None
 
     WORDS = ("ant", "bee", "cat", "cow", "dog", "eel", "elk", "emu", "fox", "gnu")
 

@@ -126,7 +126,7 @@ class TestNdjsonSessions:
         server_runner(body)
 
     def test_oversized_result_is_a_protocol_error(
-        self, server_runner, ndjson_client, monkeypatch
+        self, server_runner, ndjson_client, http, monkeypatch
     ):
         async def body(server):
             seen = _unhandled(asyncio.get_running_loop())
@@ -142,6 +142,9 @@ class TestNdjsonSessions:
             small = await client.call(op="query", sql=COUNT_SQL, limit=1)
             assert small["ok"]
             await client.close()
+            # Only the delivered result counts as completed.
+            _, text = await http.get(server.host, server.port, "/metrics")
+            assert 'repro_serve_completed_total{tenant="gold"} 1' in text
             assert seen == []
 
         monkeypatch.setattr("repro.serve.protocol.MAX_LINE_BYTES", 4000)
@@ -285,8 +288,9 @@ class TestHostileHttp:
             {"sql": COUNT_SQL, "limit": "x"},
             {"sql": COUNT_SQL, "limit": [1]},
             {"sql": COUNT_SQL, "tenant": {"a": 1}},
+            {"sql": COUNT_SQL, "tenant": "nobody"},
         ],
-        ids=["limit-string", "limit-list", "tenant-object"],
+        ids=["limit-string", "limit-list", "tenant-object", "tenant-unknown"],
     )
     def test_bad_fields(self, server_runner, doc):
         async def run(server):
@@ -298,6 +302,9 @@ class TestHostileHttp:
             ).encode()
             reply = await _raw_http(server.host, server.port, head + body)
             assert reply.startswith(b"HTTP/1.1 400 ")
+            if doc.get("tenant") == "nobody":
+                # The same text as an unknown tenant in ``hello``.
+                assert b"unknown tenant 'nobody' (known: " in reply
             assert seen == []
 
         server_runner(run)
