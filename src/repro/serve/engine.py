@@ -10,6 +10,17 @@ together therefore contend for the same simulated machine -- the
 multi-core interference the paper studies emerges per batch -- while
 the plan cache and memo make repeated statements cheap on the host.
 
+The memo admits a statement only once its text repeats: the first
+execution of a plan template is submitted unmemoized, and its second
+and later executions store and reuse their intermediates.  Traffic of
+unique literals, which would fill the memo with intermediates nobody
+reads again, therefore leaves it empty.  A template the plan cache
+evicts is forgotten with it.
+
+An exception that is not a :class:`~repro.errors.ReproError`, from
+planning or from the simulator, answers its statements with a chained
+``ServeError("internal error: ...")`` and the thread keeps serving.
+
 ``canonical=True`` requests are executed solo with a fresh
 :class:`~repro.observe.Observer` and *without* the memo, so the
 canonical observation bytes depend only on (plan, config): identical
@@ -27,6 +38,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+import weakref
 from concurrent.futures import Future
 from dataclasses import dataclass
 
@@ -36,6 +48,7 @@ from ..config import SimulationConfig
 from ..engine import EvalPool, IntermediateCache, Simulator
 from ..errors import ReproError, ServeError
 from ..observe import Observer
+from ..plan import Plan
 from ..sql import PlanCache
 from ..storage import BAT, Candidates, ColumnSlice, Scalar, Table
 from ..storage.catalog import Catalog
@@ -113,8 +126,26 @@ class EngineStats:
         }
 
 
+def _typed(exc: Exception) -> ReproError:
+    """``exc`` when it is a :class:`ReproError`, else a chained
+    ``ServeError`` that the protocol layers answer as internal."""
+    if isinstance(exc, ReproError):
+        return exc
+    error = ServeError(f"internal error: {type(exc).__name__}: {exc}")
+    error.__cause__ = exc
+    return error
+
+
 class _Job:
-    __slots__ = ("sql", "limit", "canonical", "max_threads", "client", "future")
+    __slots__ = (
+        "sql",
+        "limit",
+        "canonical",
+        "max_threads",
+        "client",
+        "future",
+        "outcome",
+    )
 
     def __init__(self, sql, limit, canonical, max_threads, client):
         self.sql = sql
@@ -123,15 +154,18 @@ class _Job:
         self.max_threads = max_threads
         self.client = client
         self.future: Future = Future()
+        #: The payload dict or the exception; the batch settles it into
+        #: ``future`` once every payload of the batch is complete.
+        self.outcome: dict | ReproError | None = None
 
 
 class ServeEngine:
     """SQL text in, result payload futures out; one worker thread.
 
-    Parameters mirror :func:`repro.engine.execute`: ``workers``/
-    ``backend`` configure the shared :class:`EvalPool` (``workers=1``
-    or ``None`` runs inline), ``memoize`` the shared intermediate
-    cache.  ``start()`` and ``close()`` are idempotent.
+    ``workers``/``backend`` configure the shared :class:`EvalPool`
+    (``workers=1`` or ``None`` runs inline), as for
+    :func:`repro.engine.execute`.  ``start()`` and ``close()`` are
+    idempotent.
     """
 
     def __init__(
@@ -141,7 +175,6 @@ class ServeEngine:
         *,
         workers: int | None = None,
         backend: str | None = None,
-        memoize: bool = True,
         max_batch: int = MAX_BATCH,
     ) -> None:
         if max_batch < 1:
@@ -151,7 +184,10 @@ class ServeEngine:
         self.stats = EngineStats()
         self._workers = workers
         self._backend = backend
-        self._memo = IntermediateCache() if memoize else None
+        self._memo = IntermediateCache()
+        # Plan templates executed at least once (the memo's admission
+        # test); weak, so a template the plan cache evicts drops out.
+        self._executed: weakref.WeakSet = weakref.WeakSet()
         self._max_batch = max_batch
         self._pool: EvalPool | None = None
         self._queue: queue.Queue = queue.Queue()
@@ -224,9 +260,11 @@ class ServeEngine:
 
         Payload keys: ``rows`` (see :func:`render_outputs`),
         ``simulated_ms`` (response time on the simulated machine),
-        ``batch`` (co-scheduled query count), and for canonical
-        requests ``canonical`` (the byte-stable observation JSON).
-        Planning and execution errors resolve the future exceptionally
+        ``batch`` (co-scheduled query count), ``host_batch_ms`` (host
+        time of the whole batch), and for canonical requests
+        ``canonical`` (the byte-stable observation JSON).  Planning and
+        execution errors resolve the future exceptionally, always with
+        a :class:`~repro.errors.ReproError`
         (:class:`~repro.errors.SqlError` subclasses for bad SQL).
         """
         job = _Job(sql, limit, canonical, max_threads, client)
@@ -266,42 +304,63 @@ class ServeEngine:
 
     def _execute_batch(self, batch: list[_Job]) -> None:
         t0 = time.perf_counter()
-        plain = [j for j in batch if not j.canonical]
         with self._lock:
             self.stats.batches += 1
             self.stats.queries += len(batch)
             self.stats.max_batch = max(self.stats.max_batch, len(batch))
-        if plain:
-            self._execute_plain(plain)
+        try:
+            plain = [j for j in batch if not j.canonical]
+            if plain:
+                self._execute_plain(plain)
+            for job in batch:
+                if job.canonical:
+                    self._execute_canonical(job)
+        except Exception as exc:  # engine bug: answer the batch, keep serving
+            for job in batch:
+                if job.outcome is None:
+                    self._fail(job, exc)
+        host_ms = round((time.perf_counter() - t0) * 1e3, 3)
+        # Every payload is complete before the first future resolves:
+        # the server may encode a resolved payload at once.
         for job in batch:
-            if job.canonical:
-                self._execute_canonical(job)
-        host_ms = (time.perf_counter() - t0) * 1e3
+            if isinstance(job.outcome, dict):
+                job.outcome["host_batch_ms"] = host_ms
         for job in batch:
-            fut = job.future
-            if fut.done() and fut.exception() is None:
-                fut.result()["host_batch_ms"] = round(host_ms, 3)
+            if isinstance(job.outcome, dict):
+                job.future.set_result(job.outcome)
+            else:
+                job.future.set_exception(job.outcome)
 
     def _fail(self, job: _Job, exc: Exception) -> None:
         with self._lock:
             self.stats.failures += 1
-        job.future.set_exception(exc)
+        job.outcome = _typed(exc)
+
+    def _template(self, job: _Job) -> Plan | None:
+        """The job's plan template, or None once the job has failed."""
+        try:
+            return self.plans.template(job.sql)
+        except Exception as exc:  # a hostile statement fails alone
+            self._fail(job, exc)
+            return None
 
     def _execute_plain(self, jobs: list[_Job]) -> None:
         sim = Simulator(self.config, memo=self._memo, evalpool=self._pool)
         failures: dict[int, Exception] = {}
         submitted: list[tuple[_Job, int]] = []
         for job in jobs:
-            try:
-                plan = self.plans.template(job.sql)
-            except ReproError as exc:
-                self._fail(job, exc)
+            plan = self._template(job)
+            if plan is None:
                 continue
+            with self._lock:
+                repeat = plan in self._executed
+                self._executed.add(plan)
             sid = sim.submit(
                 plan,
                 client=job.client,
                 max_threads=job.max_threads,
                 on_failure=lambda s, err, _f=failures: _f.__setitem__(s, err),
+                memoize=repeat,
             )
             submitted.append((job, sid))
         if not submitted:
@@ -310,29 +369,24 @@ class ServeEngine:
             sim.run()
         except Exception as exc:  # engine bug: fail the whole batch
             for job, _sid in submitted:
-                if not job.future.done():
-                    self._fail(job, exc)
+                self._fail(job, exc)
             return
         for job, sid in submitted:
             if sid in failures:
                 self._fail(job, failures[sid])
                 continue
             result = sim.result(sid)
-            job.future.set_result(
-                {
-                    "rows": render_outputs(result.outputs, limit=job.limit),
-                    "simulated_ms": round(result.response_time * 1e3, 6),
-                    "batch": len(submitted),
-                }
-            )
+            job.outcome = {
+                "rows": render_outputs(result.outputs, limit=job.limit),
+                "simulated_ms": round(result.response_time * 1e3, 6),
+                "batch": len(submitted),
+            }
 
     def _execute_canonical(self, job: _Job) -> None:
         # Solo run, fresh observer, no memo: canonical bytes depend on
         # (plan, config) only -- backend- and history-invariant.
-        try:
-            plan = self.plans.template(job.sql)
-        except ReproError as exc:
-            self._fail(job, exc)
+        plan = self._template(job)
+        if plan is None:
             return
         obs = Observer()
         sim = Simulator(self.config, evalpool=self._pool, observe=obs)
@@ -344,11 +398,9 @@ class ServeEngine:
             self._fail(job, exc)
             return
         obs.finish()
-        job.future.set_result(
-            {
-                "rows": render_outputs(result.outputs, limit=job.limit),
-                "simulated_ms": round(result.response_time * 1e3, 6),
-                "batch": 1,
-                "canonical": obs.canonical_json(),
-            }
-        )
+        job.outcome = {
+            "rows": render_outputs(result.outputs, limit=job.limit),
+            "simulated_ms": round(result.response_time * 1e3, 6),
+            "batch": 1,
+            "canonical": obs.canonical_json(),
+        }

@@ -102,7 +102,6 @@ class TenantLoadService:
         max_in_flight: int | None = None,
         workers: int | None = None,
         backend: str | None = None,
-        memoize: bool = True,
         chaos_label: str | None = None,
         metrics: MetricsRegistry | None = None,
         metrics_lock: threading.Lock | None = None,
@@ -136,7 +135,6 @@ class TenantLoadService:
         )
         self.workers = workers
         self.backend = backend
-        self.memoize = memoize
         # Live metrics (optional): scraped by the asyncio /metrics
         # endpoint *while* the run progresses on another thread, hence
         # the shared lock.  Pure bookkeeping -- the report never reads
@@ -179,8 +177,9 @@ class TenantLoadService:
             or (self.workers is not None and self.workers > 1)
             else None
         )
-        memo = IntermediateCache() if self.memoize else None
-        simulator = Simulator(config, evalpool=pool, faults=injector, memo=memo)
+        simulator = Simulator(
+            config, evalpool=pool, faults=injector, memo=IntermediateCache()
+        )
         rng = np.random.default_rng(config.derive_seed("serve.clients"))
         scheduler = FairScheduler(
             self.directory, max_in_flight=self.max_in_flight

@@ -18,10 +18,20 @@ Grammar (roughly)::
                 | [NOT] IN '(' (literals | query) ')' | '=' column
     having     := agg cmp literal
 
+A ``DATE`` literal is exactly ``'YYYY-MM-DD'`` and a real calendar day.
+Parentheses, aggregate calls and subqueries nest at most
+:data:`MAX_DEPTH` deep, and so does the finished syntax tree, where each
+operator of an arithmetic chain is one level: hostile nesting is a
+:class:`~repro.errors.SqlParseError`, never a ``RecursionError`` of the
+parser or of the planner that walks the tree.
+
 See docs/sql.md for the full dialect reference.
 """
 
 from __future__ import annotations
+
+import datetime
+import re
 
 from ..errors import SqlParseError
 from ..storage.dtypes import date_value
@@ -49,6 +59,13 @@ from .lexer import Token, tokenize
 
 _AGG_KEYWORDS = {"SUM", "COUNT", "MIN", "MAX", "AVG"}
 _CMP_OPS = {"=", "<", ">", "<=", ">=", "<>"}
+_DATE_TEXT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+#: Deepest nesting a statement may use: parentheses, aggregate calls
+#: and subqueries inside one another, and levels of the syntax tree.
+#: Python's default recursion limit overflows at about 330 nested
+#: parentheses.
+MAX_DEPTH = 64
 
 
 def parse(text: str, tokens: list[Token] | None = None) -> SelectStatement:
@@ -60,13 +77,35 @@ def parse(text: str, tokens: list[Token] | None = None) -> SelectStatement:
     parser = _Parser(tokenize(text) if tokens is None else tokens)
     stmt = parser.select_statement()
     parser.expect_eof()
+    if _height(stmt) > MAX_DEPTH:
+        raise SqlParseError(
+            f"statement nests deeper than {MAX_DEPTH} levels "
+            "(each operator of an arithmetic chain is one)"
+        )
     return stmt
+
+
+def _height(stmt: SelectStatement) -> int:
+    """Levels of the syntax tree, walked without recursion."""
+    height = 0
+    stack: list[tuple[object, int]] = [(stmt, 1)]
+    while stack:
+        node, level = stack.pop()
+        if level > height:
+            height = level
+        for value in vars(node).values():
+            for child in value if isinstance(value, tuple) else (value,):
+                if hasattr(child, "__dataclass_fields__"):
+                    stack.append((child, level + 1))
+    return height
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        #: Parentheses, aggregate calls and subqueries now open.
+        self.depth = 0
 
     # -- token plumbing --------------------------------------------------
     def peek(self) -> Token:
@@ -92,6 +131,19 @@ class _Parser:
                 f"expected {want} at offset {got.position}, got {got.value!r}"
             )
         return token
+
+    def nested(self, token: Token, parse):
+        """``parse()`` one level deeper than ``token``, then its ``)``."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise SqlParseError(
+                f"nesting deeper than {MAX_DEPTH} levels at offset "
+                f"{token.position}"
+            )
+        inner = parse()
+        self.expect("PUNCT", ")")
+        self.depth -= 1
+        return inner
 
     def expect_eof(self) -> None:
         if self.peek().type != "EOF":
@@ -205,13 +257,9 @@ class _Parser:
             if token.value == "COUNT" and self.accept("PUNCT", "*"):
                 self.expect("PUNCT", ")")
                 return AggExpr("count", None)
-            arg = self.expr()
-            self.expect("PUNCT", ")")
-            return AggExpr(token.value.lower(), arg)
+            return AggExpr(token.value.lower(), self.nested(token, self.expr))
         if self.accept("PUNCT", "("):
-            inner = self.expr()
-            self.expect("PUNCT", ")")
-            return inner
+            return self.nested(token, self.expr)
         if token.type == "IDENT":
             return self.column_ref()
         raise SqlParseError(
@@ -243,10 +291,9 @@ class _Parser:
         return And(tuple(parts))
 
     def predicate(self) -> Condition:
+        token = self.peek()
         if self.accept("PUNCT", "("):
-            inner = self.condition()
-            self.expect("PUNCT", ")")
-            return inner
+            return self.nested(token, self.condition)
         column = self.column_ref()
         negate = bool(self.accept("KEYWORD", "NOT"))
         if self.accept("KEYWORD", "LIKE"):
@@ -277,8 +324,7 @@ class _Parser:
     def _in_tail(self, column: ColumnRef, negate: bool) -> Condition:
         self.expect("PUNCT", "(")
         if self.peek().type == "KEYWORD" and self.peek().value == "SELECT":
-            sub = self.select_statement()
-            self.expect("PUNCT", ")")
+            sub = self.nested(self.peek(), self.select_statement)
             return InSubquery(column, sub, negate=negate)
         values = [self.literal()]
         while self.accept("PUNCT", ","):
@@ -296,14 +342,29 @@ class _Parser:
             return token.value
         if token.type == "KEYWORD" and token.value == "DATE":
             self.advance()
-            value = self.expect("STRING").value
-            return date_value(value)
+            return _date(self.expect("STRING"))
         if token.type == "PUNCT" and token.value == "-":
             self.advance()
             return -_number(self.expect("NUMBER").value)
         raise SqlParseError(
             f"expected a literal at offset {token.position}, got {token.value!r}"
         )
+
+
+def _date(token: Token) -> int:
+    """The day number of a ``DATE`` literal's string token."""
+    text = token.value
+    if _DATE_TEXT.fullmatch(text):
+        try:
+            datetime.date.fromisoformat(text)
+        except ValueError:
+            pass
+        else:
+            return date_value(text)
+    raise SqlParseError(
+        f"DATE literal at offset {token.position} must be a calendar day "
+        f"'YYYY-MM-DD', got {text!r}"
+    )
 
 
 def _number(text: str) -> float | int:

@@ -6,9 +6,10 @@ import threading
 
 import pytest
 
+from repro.engine import Simulator
 from repro.errors import ServeError, SqlPlanError
 from repro.serve import ServeEngine, render_outputs
-from repro.serve.engine import _Job  # noqa: F401  (existence check)
+from repro.serve.engine import _Job
 from repro.storage import BAT, LNG, STR, Candidates, Catalog, Scalar, Table
 import numpy as np
 
@@ -50,6 +51,25 @@ class TestExecution:
             future.result(timeout=30)
         assert engine.stats.failures >= 1
 
+    def test_payload_complete_before_future_resolves(self, engine, monkeypatch):
+        # Hold the batch in planning until a done-callback is registered:
+        # callbacks run inside set_result, so the payload they see is the
+        # one the server would start encoding.
+        gate = threading.Event()
+        template = engine.plans.template
+
+        def held(sql):
+            gate.wait(timeout=30)
+            return template(sql)
+
+        monkeypatch.setattr(engine.plans, "template", held)
+        future = engine.submit_sql(COUNT_SQL)
+        seen = []
+        future.add_done_callback(lambda f: seen.append(sorted(f.result())))
+        gate.set()
+        future.result(timeout=30)
+        assert seen == [["batch", "host_batch_ms", "rows", "simulated_ms"]]
+
     def test_plan_cache_reused(self, engine):
         for _ in range(3):
             engine.submit_sql(COUNT_SQL).result(timeout=30)
@@ -76,6 +96,52 @@ class TestExecution:
             assert eng.plans.hits == 1
         finally:
             eng.close()
+
+
+class TestMemoAdmission:
+    """The memo holds a template's second and later executions only."""
+
+    def test_second_execution_inserts_and_third_hits(self, engine):
+        memo = engine._memo
+        nodes = len(engine.plans.template(SUM_SQL).nodes())
+        payloads = [engine.submit_sql(SUM_SQL).result(timeout=30)]
+        assert len(memo) == 0 and memo.stats().lookups == 0
+        payloads.append(engine.submit_sql(SUM_SQL).result(timeout=30))
+        stats = memo.stats()
+        assert stats.insertions == nodes and stats.hits == 0
+        payloads.append(engine.submit_sql(SUM_SQL).result(timeout=30))
+        stats = memo.stats()
+        assert stats.insertions == nodes and stats.hits == nodes
+        assert len({repr(p["rows"]) for p in payloads}) == 1
+        assert len({p["simulated_ms"] for p in payloads}) == 1
+
+    def test_unique_texts_leave_the_memo_empty(self, engine):
+        for qty in range(20):
+            sql = f"SELECT SUM(val) FROM facts WHERE qty < {qty}"
+            engine.submit_sql(sql).result(timeout=30)
+        assert len(engine._memo) == 0
+        assert engine._memo.stats().lookups == 0
+
+    def test_repeat_within_one_batch_is_memoized(
+        self, serve_config, small_catalog
+    ):
+        # The second occurrence of a template in one batch is its second
+        # execution: the simulator must add fingerprints to the layout
+        # the first, unmemoized occurrence built.
+        engine = ServeEngine(serve_config, small_catalog)
+        jobs = [_Job(SUM_SQL, 8, False, None, "c") for _ in range(2)]
+        engine._execute_batch(jobs)
+        first, second = (job.future.result(timeout=1) for job in jobs)
+        assert first == second and first["batch"] == 2
+        nodes = len(engine.plans.template(SUM_SQL).nodes())
+        assert engine._memo.stats().lookups == nodes
+        assert engine._memo.stats().insertions == nodes
+        engine.close()
+
+    def test_canonical_requests_do_not_mark_a_template(self, engine):
+        engine.submit_sql(SUM_SQL, canonical=True).result(timeout=30)
+        engine.submit_sql(SUM_SQL).result(timeout=30)
+        assert engine._memo.stats().lookups == 0
 
 
 class TestCanonical:
@@ -149,6 +215,33 @@ class TestLifecycle:
             engine.submit_sql("SELECT broken FROM facts").result(timeout=30)
         assert engine.running
         assert engine.submit_sql(COUNT_SQL).result(timeout=30)["rows"]
+
+    def test_untyped_planning_error_is_internal(self, engine, monkeypatch):
+        template = engine.plans.template
+
+        def hostile(sql):
+            if sql == SUM_SQL:
+                raise RuntimeError("planner bug")
+            return template(sql)
+
+        monkeypatch.setattr(engine.plans, "template", hostile)
+        with pytest.raises(ServeError, match="internal error") as info:
+            engine.submit_sql(SUM_SQL).result(timeout=10)
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert engine.submit_sql(COUNT_SQL).result(timeout=10)["rows"]
+        assert engine.running
+
+    def test_untyped_engine_error_is_internal(self, engine, monkeypatch):
+        def broken(self):
+            raise RuntimeError("scheduler bug")
+
+        monkeypatch.setattr(Simulator, "run", broken)
+        with pytest.raises(ServeError, match="internal error") as info:
+            engine.submit_sql(COUNT_SQL).result(timeout=10)
+        assert isinstance(info.value.__cause__, RuntimeError)
+        monkeypatch.undo()
+        assert engine.submit_sql(COUNT_SQL).result(timeout=10)["rows"]
+        assert engine.running
 
 
 class TestRenderOutputs:

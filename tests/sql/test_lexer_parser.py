@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SqlLexError, SqlParseError
 from repro.sql import parse, tokenize
+from repro.sql.parser import MAX_DEPTH
 from repro.sql.ast import (
     AggExpr,
     And,
@@ -131,6 +132,73 @@ class TestParser:
         assert stmt.where == Comparison(
             ColumnRef("d"), ">=", date_value("1994-01-01")
         )
+        stmt = parse("SELECT a FROM t WHERE d < DATE '1996-02-29'")
+        assert stmt.where.value == date_value("1996-02-29")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1994-13-45",  # no such month
+            "1994-02-30",  # no such day
+            "1995-02-29",  # not a leap year
+            "0000-01-01",  # no year zero
+            "NaT",  # numpy's not-a-time
+            "today",  # the host's clock
+            "2020",  # partial dates
+            "1994-01",
+            "1994-1-1",
+            " 1994-01-01",
+            "1994-01-01T00",
+            "+1994-01-01",
+            "",
+        ],
+    )
+    def test_date_literal_must_be_a_calendar_day(self, text):
+        sql = f"SELECT a FROM t WHERE d < DATE '{text}'"
+        with pytest.raises(SqlParseError, match="DATE literal at offset 31"):
+            parse(sql)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "WHERE {open}a < 1{close}",
+            "WHERE a < 1 AND {open}b = 2 OR c = 3{close}",
+        ],
+    )
+    def test_parenthesised_condition_depth(self, shape):
+        def sql(depth):
+            text = shape.format(open="(" * depth, close=")" * depth)
+            return f"SELECT a FROM t {text}"
+
+        parse(sql(MAX_DEPTH))
+        for depth in (MAX_DEPTH + 1, 400):
+            with pytest.raises(SqlParseError, match="nesting deeper than"):
+                parse(sql(depth))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: "SELECT " + "(" * n + "a" + ")" * n + " FROM t",
+            lambda n: "SELECT " + "SUM(" * n + "a" + ")" * n + " FROM t",
+            lambda n: "SELECT a FROM t WHERE "
+            + "a IN (SELECT a FROM t WHERE " * n
+            + "a = 1"
+            + ")" * n,
+        ],
+        ids=["parentheses", "aggregates", "subqueries"],
+    )
+    def test_nesting_past_the_limit_is_a_parse_error(self, build):
+        for depth in (MAX_DEPTH + 1, 400):
+            with pytest.raises(SqlParseError, match="deeper than"):
+                parse(build(depth))
+
+    def test_long_operator_chain_is_a_parse_error(self):
+        # No parentheses at all, but a left-deep tree MAX_DEPTH levels
+        # tall: the planner would walk it recursively.
+        parse("SELECT " + " + ".join(["a"] * 10) + " FROM t")
+        for terms in (MAX_DEPTH + 1, 2000):
+            with pytest.raises(SqlParseError, match="deeper than"):
+                parse("SELECT " + " + ".join(["a"] * terms) + " FROM t")
 
     def test_negative_literal(self):
         stmt = parse("SELECT a FROM t WHERE a > -5")
