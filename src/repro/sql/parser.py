@@ -20,10 +20,10 @@ Grammar (roughly)::
 
 A ``DATE`` literal is exactly ``'YYYY-MM-DD'`` and a real calendar day.
 Parentheses, aggregate calls and subqueries nest at most
-:data:`MAX_DEPTH` deep, and so does the finished syntax tree, where each
-operator of an arithmetic chain is one level: hostile nesting is a
+:data:`MAX_DEPTH` deep, and so do expressions, where each arithmetic
+operator and each aggregate call is one level: hostile nesting is a
 :class:`~repro.errors.SqlParseError`, never a ``RecursionError`` of the
-parser or of the planner that walks the tree.
+parser or of the planner that walks the syntax tree.
 
 See docs/sql.md for the full dialect reference.
 """
@@ -62,9 +62,9 @@ _CMP_OPS = {"=", "<", ">", "<=", ">=", "<>"}
 _DATE_TEXT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 #: Deepest nesting a statement may use: parentheses, aggregate calls
-#: and subqueries inside one another, and levels of the syntax tree.
+#: and subqueries inside one another, and levels of an expression.
 #: Python's default recursion limit overflows at about 330 nested
-#: parentheses.
+#: parentheses, or a sum of about 400 terms in the planner.
 MAX_DEPTH = 64
 
 
@@ -77,27 +77,7 @@ def parse(text: str, tokens: list[Token] | None = None) -> SelectStatement:
     parser = _Parser(tokenize(text) if tokens is None else tokens)
     stmt = parser.select_statement()
     parser.expect_eof()
-    if _height(stmt) > MAX_DEPTH:
-        raise SqlParseError(
-            f"statement nests deeper than {MAX_DEPTH} levels "
-            "(each operator of an arithmetic chain is one)"
-        )
     return stmt
-
-
-def _height(stmt: SelectStatement) -> int:
-    """Levels of the syntax tree, walked without recursion."""
-    height = 0
-    stack: list[tuple[object, int]] = [(stmt, 1)]
-    while stack:
-        node, level = stack.pop()
-        if level > height:
-            height = level
-        for value in vars(node).values():
-            for child in value if isinstance(value, tuple) else (value,):
-                if hasattr(child, "__dataclass_fields__"):
-                    stack.append((child, level + 1))
-    return height
 
 
 class _Parser:
@@ -106,6 +86,9 @@ class _Parser:
         self.pos = 0
         #: Parentheses, aggregate calls and subqueries now open.
         self.depth = 0
+        #: Levels of each operator and aggregate expression built so
+        #: far, by ``id`` (operands not listed are one level deep).
+        self.levels: dict[int, int] = {}
 
     # -- token plumbing --------------------------------------------------
     def peek(self) -> Token:
@@ -133,7 +116,8 @@ class _Parser:
         return token
 
     def nested(self, token: Token, parse):
-        """``parse()`` one level deeper than ``token``, then its ``)``."""
+        """Run ``parse`` one nesting level deeper (the level opened at
+        ``token``) and consume the ``)`` that closes it."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise SqlParseError(
@@ -227,24 +211,33 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------
     def expr(self) -> Expr:
-        left = self.term()
-        while True:
-            if self.accept("PUNCT", "+"):
-                left = BinaryExpr("+", left, self.term())
-            elif self.accept("PUNCT", "-"):
-                left = BinaryExpr("-", left, self.term())
-            else:
-                return left
+        return self.chain(self.term, ("+", "-"))
 
     def term(self) -> Expr:
-        left = self.factor()
-        while True:
-            if self.accept("PUNCT", "*"):
-                left = BinaryExpr("*", left, self.factor())
-            elif self.accept("PUNCT", "/"):
-                left = BinaryExpr("/", left, self.factor())
-            else:
-                return left
+        return self.chain(self.factor, ("*", "/"))
+
+    def chain(self, operand, operators: tuple[str, ...]) -> Expr:
+        """``operand (operator operand)*``, grouped to the left."""
+        left = operand()
+        while (token := self.peek()).type == "PUNCT" and token.value in operators:
+            self.advance()
+            right = operand()
+            left = self.level(token, BinaryExpr(token.value, left, right), left, right)
+        return left
+
+    def level(self, token: Token, node: Expr, *operands: Expr) -> Expr:
+        """``node``, one level above its deepest operand; refused past
+        :data:`MAX_DEPTH` levels, since the planner walks expressions
+        recursively."""
+        levels = self.levels
+        level = 1 + max(levels.get(id(operand), 1) for operand in operands)
+        if level > MAX_DEPTH:
+            raise SqlParseError(
+                f"expression deeper than {MAX_DEPTH} levels at offset "
+                f"{token.position}"
+            )
+        levels[id(node)] = level
+        return node
 
     def factor(self) -> Expr:
         token = self.peek()
@@ -257,7 +250,8 @@ class _Parser:
             if token.value == "COUNT" and self.accept("PUNCT", "*"):
                 self.expect("PUNCT", ")")
                 return AggExpr("count", None)
-            return AggExpr(token.value.lower(), self.nested(token, self.expr))
+            arg = self.nested(token, self.expr)
+            return self.level(token, AggExpr(token.value.lower(), arg), arg)
         if self.accept("PUNCT", "("):
             return self.nested(token, self.expr)
         if token.type == "IDENT":

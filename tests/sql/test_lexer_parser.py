@@ -193,9 +193,9 @@ class TestParser:
                 parse(build(depth))
 
     def test_long_operator_chain_is_a_parse_error(self):
-        # No parentheses at all, but a left-deep tree MAX_DEPTH levels
-        # tall: the planner would walk it recursively.
-        parse("SELECT " + " + ".join(["a"] * 10) + " FROM t")
+        # No parentheses at all, but a left-deep tree one level per
+        # operator: the planner would walk it recursively.
+        parse("SELECT " + " + ".join(["a"] * MAX_DEPTH) + " FROM t")
         for terms in (MAX_DEPTH + 1, 2000):
             with pytest.raises(SqlParseError, match="deeper than"):
                 parse("SELECT " + " + ".join(["a"] * terms) + " FROM t")
