@@ -86,9 +86,10 @@ class _Parser:
         self.pos = 0
         #: Parentheses, aggregate calls and subqueries now open.
         self.depth = 0
-        #: Levels of each operator and aggregate expression built so
-        #: far, by ``id`` (operands not listed are one level deep).
-        self.levels: dict[int, int] = {}
+        #: Levels of the expression the last expression method parsed:
+        #: a column or number is one, and each operator or aggregate
+        #: call is one above its deepest operand.
+        self.expr_level = 0
 
     # -- token plumbing --------------------------------------------------
     def peek(self) -> Token:
@@ -219,42 +220,46 @@ class _Parser:
     def chain(self, operand, operators: tuple[str, ...]) -> Expr:
         """``operand (operator operand)*``, grouped to the left."""
         left = operand()
+        level = self.expr_level
         while (token := self.peek()).type == "PUNCT" and token.value in operators:
             self.advance()
             right = operand()
-            left = self.level(token, BinaryExpr(token.value, left, right), left, right)
+            level = self.above(token, max(level, self.expr_level))
+            left = BinaryExpr(token.value, left, right)
+        self.expr_level = level
         return left
 
-    def level(self, token: Token, node: Expr, *operands: Expr) -> Expr:
-        """``node``, one level above its deepest operand; refused past
-        :data:`MAX_DEPTH` levels, since the planner walks expressions
-        recursively."""
-        levels = self.levels
-        level = 1 + max(levels.get(id(operand), 1) for operand in operands)
-        if level > MAX_DEPTH:
+    @staticmethod
+    def above(token: Token, level: int) -> int:
+        """The level over ``level``, refused past :data:`MAX_DEPTH`:
+        the planner walks expressions recursively."""
+        if level >= MAX_DEPTH:
             raise SqlParseError(
                 f"expression deeper than {MAX_DEPTH} levels at offset "
                 f"{token.position}"
             )
-        levels[id(node)] = level
-        return node
+        return level + 1
 
     def factor(self) -> Expr:
         token = self.peek()
         if token.type == "NUMBER":
             self.advance()
+            self.expr_level = 1
             return NumberLit(_number(token.value))
         if token.type == "KEYWORD" and token.value in _AGG_KEYWORDS:
             self.advance()
             self.expect("PUNCT", "(")
             if token.value == "COUNT" and self.accept("PUNCT", "*"):
                 self.expect("PUNCT", ")")
+                self.expr_level = 2
                 return AggExpr("count", None)
             arg = self.nested(token, self.expr)
-            return self.level(token, AggExpr(token.value.lower(), arg), arg)
+            self.expr_level = self.above(token, self.expr_level)
+            return AggExpr(token.value.lower(), arg)
         if self.accept("PUNCT", "("):
             return self.nested(token, self.expr)
         if token.type == "IDENT":
+            self.expr_level = 1
             return self.column_ref()
         raise SqlParseError(
             f"expected an expression at offset {token.position}, got {token.value!r}"
