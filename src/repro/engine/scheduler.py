@@ -87,9 +87,8 @@ class PlanLayout:
     leaves, the output set, each node's operator kind and description
     (what every :class:`OpRecord` of the node carries), the build input
     of each two-input join (whose hash table later clones reuse) and --
-    when the simulator needs them -- node fingerprints (memoization,
-    computed on the first memoized submission) and plan-relative node
-    indices (fault injection).  A
+    when the simulator needs them -- node fingerprints (memoization)
+    and plan-relative node indices (fault injection).  A
     :class:`Simulator` builds one per distinct plan object and shares it
     between every submission of that plan, so a closed-loop client
     re-issuing a template pays two dict copies per submission instead of
@@ -186,7 +185,6 @@ class _Submission:
         "describe",
         "build_input",
         "live_bytes",
-        "memo",
         "fingerprints",
         "node_index",
         "span",
@@ -202,7 +200,6 @@ class _Submission:
         on_complete: Callable[["_Submission"], None] | None,
         *,
         on_failure: Callable[[int, Exception], None] | None = None,
-        memo: IntermediateCache | None = None,
     ) -> None:
         self.sid = sid
         self.plan = layout.plan
@@ -225,8 +222,6 @@ class _Submission:
         self.running = 0
         self.live_bytes = 0.0
         self.ready: deque[PlanNode] = deque(layout.leaves)
-        #: The memo this submission reads and writes (None: unmemoized).
-        self.memo = memo
         self.fingerprints: dict[int, bytes] = layout.fingerprints
         self.node_index: dict[int, int] = layout.node_index
         #: Tracing span covering submit -> finish (None when unobserved).
@@ -358,7 +353,7 @@ class _PendingDispatch:
         self.sub = sub
         self.node = node
         self.thread = thread
-        #: Plan fingerprint of ``node`` (only for a memoized submission).
+        #: Plan fingerprint of ``node`` (only when memoization is on).
         self.fingerprint: bytes | None = None
         #: (value, profile) held from a lock-free memo peek; keeping the
         #: reference pins it even if a same-batch commit evicts it.
@@ -389,8 +384,7 @@ class Simulator:
     operators whose plan fingerprint is cached skip real evaluation and
     reuse the stored intermediate and work profile.  Simulated time is
     unaffected -- the roofline model still charges the same work -- only
-    host wall-clock changes.  A submission made with ``memoize=False``
-    neither reads nor writes it.
+    host wall-clock changes.
 
     ``evalpool`` plugs in an :class:`~repro.engine.evalpool.EvalPool`
     that evaluates each dispatch round's ready operators concurrently on
@@ -499,7 +493,6 @@ class Simulator:
         max_threads: int | None = None,
         on_complete: Callable[[int], None] | None = None,
         on_failure: Callable[[int, Exception], None] | None = None,
-        memoize: bool = True,
     ) -> int:
         """Register a plan for execution at the current simulated time.
 
@@ -509,10 +502,7 @@ class Simulator:
         ``on_failure`` (called with the submission id and the exception)
         absorbs operator failures -- injected or genuine -- instead of
         letting them propagate out of :meth:`run`; resilient workload
-        layers use it to retry with backoff.  ``memoize=False`` keeps
-        this submission away from the simulator's memo: it computes no
-        fingerprints, looks nothing up and stores nothing, and its
-        simulated results are the same either way.
+        layers use it to retry with backoff.
 
         The plan is read, never written: one plan object may be
         submitted any number of times, concurrently, and its
@@ -529,26 +519,15 @@ class Simulator:
             def wrapped(sub: _Submission, _cb=callback) -> None:
                 _cb(sub.sid)
 
-        memo = self.memo if memoize else None
         layout = self._layouts.get(plan)
         if layout is None:
             layout = self._layouts[plan] = PlanLayout(
                 plan,
-                fingerprints=memo is not None,
+                fingerprints=self.memo is not None,
                 node_index=self.faults is not None,
             )
-        elif memo is not None and not layout.fingerprints:
-            # Laid out by an unmemoized submission; this one needs them.
-            layout.fingerprints = plan.fingerprints()
         sub = _Submission(
-            sid,
-            layout,
-            self.now,
-            client,
-            limit,
-            wrapped,
-            on_failure=on_failure,
-            memo=memo,
+            sid, layout, self.now, client, limit, wrapped, on_failure=on_failure
         )
         self._submissions[sid] = sub
         obs = self.observe
@@ -719,8 +698,8 @@ class Simulator:
     ) -> list[tuple[Intermediate, WorkProfile]]:
         """Run the real operator work for a collected batch.
 
-        Each entry of a memoized submission is first resolved against
-        the cache without touching its counters (``peek``): already-cached
+        With memoization on, each entry is first resolved against the
+        cache without touching its counters (``peek``): already-cached
         nodes carry the peeked value, and same-batch duplicates (clones
         with equal fingerprints) share one evaluation -- the commit
         phase replays the exact hit/miss sequence the serial engine
@@ -728,6 +707,7 @@ class Simulator:
         when one is attached, inline otherwise; either way the returned
         list is in job-submission order.
         """
+        memo = self.memo
         jobs: list[Callable[[], tuple[Intermediate, WorkProfile]]] = []
         ops: list[Operator] = []
         job_of_fp: dict[bytes, int] = {}
@@ -738,7 +718,6 @@ class Simulator:
                 # The operator will be killed at commit; evaluating it
                 # would only waste host work.
                 continue
-            memo = sub.memo
             if memo is not None:
                 fingerprint = sub.fingerprints[node.nid]
                 entry.fingerprint = fingerprint
@@ -812,7 +791,7 @@ class Simulator:
             )
             self._fail_submission(sub, thread, error)
             return None
-        memo = sub.memo
+        memo = self.memo
         if memo is not None:
             fingerprint = entry.fingerprint
             assert fingerprint is not None

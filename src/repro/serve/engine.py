@@ -4,28 +4,25 @@ The asyncio server never touches the simulator directly.  Admitted
 queries become :class:`concurrent.futures.Future` jobs on a queue; a
 single background thread drains the queue in micro-batches and runs
 each batch on a **fresh** :class:`~repro.engine.Simulator` that shares
-one :class:`~repro.engine.IntermediateCache` and one
-:class:`~repro.engine.EvalPool` across batches.  Queries that arrive
-together therefore contend for the same simulated machine -- the
-multi-core interference the paper studies emerges per batch -- while
-the plan cache and memo make repeated statements cheap on the host.
+one :class:`~repro.engine.EvalPool` across batches.  Queries that
+arrive together therefore contend for the same simulated machine --
+the multi-core interference the paper studies emerges per batch --
+while the plan cache lets a repeated statement skip parsing and
+planning.
 
-The memo admits a statement only once its text repeats: the first
-execution of a plan template is submitted unmemoized, and its second
-and later executions store and reuse their intermediates.  Traffic of
-unique literals, which would fill the memo with intermediates nobody
-reads again, therefore leaves it empty.  A template the plan cache
-evicts is forgotten with it.
+The engine keeps no memo of intermediates.  On the unique-literal
+traffic the server is measured with, a shared memo held about 250 MiB
+of intermediates that were almost never read again; simulated results
+do not depend on it either way.
 
 An exception that is not a :class:`~repro.errors.ReproError`, from
 planning or from the simulator, answers its statements with a chained
 ``ServeError("internal error: ...")`` and the thread keeps serving.
 
 ``canonical=True`` requests are executed solo with a fresh
-:class:`~repro.observe.Observer` and *without* the memo, so the
-canonical observation bytes depend only on (plan, config): identical
-for every backend and worker count.  The integration suite uses this
-as its cross-backend oracle.
+:class:`~repro.observe.Observer`, so the canonical observation bytes
+depend only on (plan, config): identical for every backend and worker
+count.  The integration suite uses this as its cross-backend oracle.
 
 ``close()`` is graceful by construction: a sentinel is enqueued behind
 every accepted job, the thread finishes everything in front of it, and
@@ -38,14 +35,15 @@ from __future__ import annotations
 import queue
 import threading
 import time
-import weakref
 from concurrent.futures import Future
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from ..config import SimulationConfig
-from ..engine import EvalPool, IntermediateCache, Simulator
+from ..engine import EvalPool, Simulator
 from ..errors import ReproError, ServeError
 from ..observe import Observer
 from ..plan import Plan
@@ -154,8 +152,8 @@ class _Job:
         self.max_threads = max_threads
         self.client = client
         self.future: Future = Future()
-        #: The payload dict or the exception; the batch settles it into
-        #: ``future`` once every payload of the batch is complete.
+        #: The payload dict or the exception, settled into ``future``
+        #: once every payload of the same run is complete.
         self.outcome: dict | ReproError | None = None
 
 
@@ -184,10 +182,6 @@ class ServeEngine:
         self.stats = EngineStats()
         self._workers = workers
         self._backend = backend
-        self._memo = IntermediateCache()
-        # Plan templates executed at least once (the memo's admission
-        # test); weak, so a template the plan cache evicts drops out.
-        self._executed: weakref.WeakSet = weakref.WeakSet()
         self._max_batch = max_batch
         self._pool: EvalPool | None = None
         self._queue: queue.Queue = queue.Queue()
@@ -261,10 +255,11 @@ class ServeEngine:
         Payload keys: ``rows`` (see :func:`render_outputs`),
         ``simulated_ms`` (response time on the simulated machine),
         ``batch`` (co-scheduled query count), ``host_batch_ms`` (host
-        time of the whole batch), and for canonical requests
-        ``canonical`` (the byte-stable observation JSON).  Planning and
-        execution errors resolve the future exceptionally, always with
-        a :class:`~repro.errors.ReproError`
+        time from the start of the batch until the answer was ready),
+        and for canonical requests ``canonical`` (the byte-stable
+        observation JSON).  Planning and execution errors resolve the
+        future exceptionally, always with a
+        :class:`~repro.errors.ReproError`
         (:class:`~repro.errors.SqlError` subclasses for bad SQL).
         """
         job = _Job(sql, limit, canonical, max_threads, client)
@@ -308,24 +303,32 @@ class ServeEngine:
             self.stats.batches += 1
             self.stats.queries += len(batch)
             self.stats.max_batch = max(self.stats.max_batch, len(batch))
+        plain = [j for j in batch if not j.canonical]
+        if plain:
+            self._settle(plain, t0, partial(self._execute_plain, plain))
+        for job in batch:
+            if job.canonical:
+                self._settle([job], t0, partial(self._execute_canonical, job))
+
+    def _settle(
+        self, jobs: list[_Job], t0: float, run: Callable[[], None]
+    ) -> None:
+        """``run()`` the jobs, then resolve their futures.
+
+        Every payload is stamped before the first future resolves: the
+        server may encode a resolved payload at once.
+        """
         try:
-            plain = [j for j in batch if not j.canonical]
-            if plain:
-                self._execute_plain(plain)
-            for job in batch:
-                if job.canonical:
-                    self._execute_canonical(job)
-        except Exception as exc:  # engine bug: answer the batch, keep serving
-            for job in batch:
+            run()
+        except Exception as exc:  # engine bug: answer the jobs, keep serving
+            for job in jobs:
                 if job.outcome is None:
                     self._fail(job, exc)
         host_ms = round((time.perf_counter() - t0) * 1e3, 3)
-        # Every payload is complete before the first future resolves:
-        # the server may encode a resolved payload at once.
-        for job in batch:
+        for job in jobs:
             if isinstance(job.outcome, dict):
                 job.outcome["host_batch_ms"] = host_ms
-        for job in batch:
+        for job in jobs:
             if isinstance(job.outcome, dict):
                 job.future.set_result(job.outcome)
             else:
@@ -345,22 +348,18 @@ class ServeEngine:
             return None
 
     def _execute_plain(self, jobs: list[_Job]) -> None:
-        sim = Simulator(self.config, memo=self._memo, evalpool=self._pool)
+        sim = Simulator(self.config, evalpool=self._pool)
         failures: dict[int, Exception] = {}
         submitted: list[tuple[_Job, int]] = []
         for job in jobs:
             plan = self._template(job)
             if plan is None:
                 continue
-            with self._lock:
-                repeat = plan in self._executed
-                self._executed.add(plan)
             sid = sim.submit(
                 plan,
                 client=job.client,
                 max_threads=job.max_threads,
                 on_failure=lambda s, err, _f=failures: _f.__setitem__(s, err),
-                memoize=repeat,
             )
             submitted.append((job, sid))
         if not submitted:
@@ -383,8 +382,8 @@ class ServeEngine:
             }
 
     def _execute_canonical(self, job: _Job) -> None:
-        # Solo run, fresh observer, no memo: canonical bytes depend on
-        # (plan, config) only -- backend- and history-invariant.
+        # Solo run, fresh observer: canonical bytes depend on (plan,
+        # config) only -- backend- and history-invariant.
         plan = self._template(job)
         if plan is None:
             return

@@ -137,60 +137,47 @@ class TestParallelismEffects:
 class TestSharedPlans:
     """One plan object submitted many times, concurrently, uncopied."""
 
-    @pytest.mark.parametrize("memoize", [False, True, "alternate"])
+    @pytest.mark.parametrize("memoize", [False, True])
     def test_shared_template_runs_like_copies(self, memoize):
         catalog = TestParallelismEffects()._column_catalog()
         config = SimulationConfig(machine=laptop_machine(8), data_scale=1000.0)
         plan = HeuristicParallelizer(8).parallelize(pipeline_plan(catalog))
-        # "alternate": one memo, and every other submission opts out.
-        memoized = [memoize is True or (memoize == "alternate" and i % 2 == 0)
-                    for i in range(4)]
 
         def run(plans):
             faults = FaultInjector(
                 FaultPlan(straggler_rate=0.2, straggler_slowdown=3.0), seed=5
             )
-            memo = IntermediateCache() if memoize else None
-            sim = Simulator(config, memo=memo, faults=faults)
-            sids = [
-                sim.submit(p, client=f"c{i}", memoize=memoized[i])
-                for i, p in enumerate(plans)
-            ]
+            sim = Simulator(
+                config,
+                memo=IntermediateCache() if memoize else None,
+                faults=faults,
+            )
+            sids = [sim.submit(p, client=f"c{i}") for i, p in enumerate(plans)]
             sim.run()
             results = [sim.result(sid) for sid in sids]
-            lookups = memo.stats().lookups if memo is not None else 0
             return (
                 [r.response_time for r in results],
                 [r.outputs[0].value for r in results],
                 [event.as_tuple() for event in faults.schedule],
-                lookups,
             )
 
         shared = run([plan] * 4)
         copied = run([plan.copy() for __ in range(4)])
         assert shared == copied
         assert shared[1] == [expected_sum(catalog)] * 4
-        # One lookup per node of each memoized submission, none else.
-        assert shared[3] == sum(memoized) * len(plan.nodes())
 
     def test_layout_built_once_and_plan_untouched(self, small_catalog, sim_config):
-        # Memoized throughout, and laid out unmemoized first: the
-        # memoized submission adds the fingerprints to the one layout.
-        for memoized in ((True, True, True), (False, True)):
-            plan = pipeline_plan(small_catalog)
-            shape = [(n.nid, [c.nid for c in n.inputs]) for n in plan.nodes()]
-            fingerprints = plan.fingerprints()
-            sim = Simulator(sim_config, memo=IntermediateCache())
-            sids = [sim.submit(plan, memoize=m) for m in memoized]
-            sim.run()
-            assert len(sim._layouts) == 1
-            assert sim._layouts[plan].fingerprints == fingerprints
-            for sid in sids:
-                assert sim.result(sid).outputs[0].value == expected_sum(
-                    small_catalog
-                )
-            assert [(n.nid, [c.nid for c in n.inputs]) for n in plan.nodes()] == shape
-            assert plan.fingerprints() == fingerprints
+        plan = pipeline_plan(small_catalog)
+        shape = [(n.nid, [c.nid for c in n.inputs]) for n in plan.nodes()]
+        fingerprints = plan.fingerprints()
+        sim = Simulator(sim_config, memo=IntermediateCache())
+        sids = [sim.submit(plan) for __ in range(3)]
+        sim.run()
+        assert len(sim._layouts) == 1
+        for sid in sids:
+            assert sim.result(sid).outputs[0].value == expected_sum(small_catalog)
+        assert [(n.nid, [c.nid for c in n.inputs]) for n in plan.nodes()] == shape
+        assert plan.fingerprints() == fingerprints
 
 
 class TestNoise:

@@ -98,52 +98,6 @@ class TestExecution:
             eng.close()
 
 
-class TestMemoAdmission:
-    """The memo holds a template's second and later executions only."""
-
-    def test_second_execution_inserts_and_third_hits(self, engine):
-        memo = engine._memo
-        nodes = len(engine.plans.template(SUM_SQL).nodes())
-        payloads = [engine.submit_sql(SUM_SQL).result(timeout=30)]
-        assert len(memo) == 0 and memo.stats().lookups == 0
-        payloads.append(engine.submit_sql(SUM_SQL).result(timeout=30))
-        stats = memo.stats()
-        assert stats.insertions == nodes and stats.hits == 0
-        payloads.append(engine.submit_sql(SUM_SQL).result(timeout=30))
-        stats = memo.stats()
-        assert stats.insertions == nodes and stats.hits == nodes
-        assert len({repr(p["rows"]) for p in payloads}) == 1
-        assert len({p["simulated_ms"] for p in payloads}) == 1
-
-    def test_unique_texts_leave_the_memo_empty(self, engine):
-        for qty in range(20):
-            sql = f"SELECT SUM(val) FROM facts WHERE qty < {qty}"
-            engine.submit_sql(sql).result(timeout=30)
-        assert len(engine._memo) == 0
-        assert engine._memo.stats().lookups == 0
-
-    def test_repeat_within_one_batch_is_memoized(
-        self, serve_config, small_catalog
-    ):
-        # The second occurrence of a template in one batch is its second
-        # execution: the simulator must add fingerprints to the layout
-        # the first, unmemoized occurrence built.
-        engine = ServeEngine(serve_config, small_catalog)
-        jobs = [_Job(SUM_SQL, 8, False, None, "c") for _ in range(2)]
-        engine._execute_batch(jobs)
-        first, second = (job.future.result(timeout=1) for job in jobs)
-        assert first == second and first["batch"] == 2
-        nodes = len(engine.plans.template(SUM_SQL).nodes())
-        assert engine._memo.stats().lookups == nodes
-        assert engine._memo.stats().insertions == nodes
-        engine.close()
-
-    def test_canonical_requests_do_not_mark_a_template(self, engine):
-        engine.submit_sql(SUM_SQL, canonical=True).result(timeout=30)
-        engine.submit_sql(SUM_SQL).result(timeout=30)
-        assert engine._memo.stats().lookups == 0
-
-
 class TestCanonical:
     def test_canonical_bytes_returned(self, engine):
         payload = engine.submit_sql(COUNT_SQL, canonical=True).result(timeout=30)
@@ -153,8 +107,8 @@ class TestCanonical:
     def test_canonical_invariant_to_memo_history(
         self, serve_config, small_catalog
     ):
-        # A cold engine and one that already memoized the statement
-        # must produce identical canonical bytes.
+        # A cold engine and one that already ran the statement must
+        # produce identical canonical bytes.
         cold = ServeEngine(serve_config, small_catalog).start()
         try:
             a = cold.submit_sql(SUM_SQL, canonical=True).result(timeout=30)
@@ -168,6 +122,26 @@ class TestCanonical:
         finally:
             warm.close()
         assert a["canonical"] == b["canonical"]
+
+    def test_plain_answers_do_not_wait_for_canonical_runs(
+        self, serve_config, small_catalog, monkeypatch
+    ):
+        engine = ServeEngine(serve_config, small_catalog)
+        canonical = _Job(SUM_SQL, 8, True, None, "c")
+        plain = _Job(COUNT_SQL, 8, False, None, "c")
+        run_canonical = engine._execute_canonical
+        plain_done = []
+
+        def observed(job):
+            plain_done.append(plain.future.done())
+            run_canonical(job)
+
+        monkeypatch.setattr(engine, "_execute_canonical", observed)
+        engine._execute_batch([canonical, plain])
+        assert plain_done == [True]
+        assert "host_batch_ms" in plain.future.result(timeout=1)
+        assert "host_batch_ms" in canonical.future.result(timeout=1)
+        engine.close()
 
 
 class TestLifecycle:
