@@ -34,13 +34,15 @@ second encounter's runs-to-GME collapses versus the first.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..config import SimulationConfig
 from ..core import AdaptiveParallelizer
 from ..core.adaptive import AdaptiveResult
 from ..learn import POLICY_BANDIT, POLICY_CREDIT_DEBIT, POLICY_WARMSTART, ExperienceStore
+from ..operators import Calc, Fetch, GroupAggregate, RangePredicate, Scan, Select
 from ..plan import Plan
 from ..workloads import ALL_DS_QUERIES, ALL_QUERIES, TpcdsDataset, TpchDataset
-from .wallclock import q1_style_plan
 
 #: Schema tag so downstream tooling can detect format changes.
 SCHEMA = "repro/bench_convergence/v1"
@@ -55,6 +57,38 @@ REPEAT_ENCOUNTERS = 3
 #: No check runs on every report: simulated policy outcomes only fail a
 #: bound asked for with ``--gate`` (see :mod:`repro.bench.gates`).
 INVARIANTS: tuple[str, ...] = ()
+
+
+def q1_style_plan(dataset: TpchDataset) -> Plan:
+    """A TPC-H Q1-style aggregation over lineitem.
+
+    Date-range select, three fetches, an arithmetic calc, and two
+    grouped aggregates over a low-cardinality key -- the classic
+    scan-heavy reporting shape Q1 exercises (the generated lineitem has
+    no returnflag/linestatus, so ``l_tax`` serves as the group key).
+    """
+    cat = dataset.catalog
+    shipdate = cat.column("lineitem", "l_shipdate")
+    # Data-driven cutoff at ~70% selectivity keeps the plan meaningful
+    # at every scale factor without hard-coding the date encoding.
+    cutoff = float(np.percentile(shipdate.values, 70))
+    plan = Plan()
+
+    def scan(table: str, column: str):
+        return plan.add(Scan(cat.column(table, column)), label=f"{table}.{column}")
+
+    cands = plan.add(
+        Select(RangePredicate(hi=cutoff, hi_inclusive=False)),
+        [scan("lineitem", "l_shipdate")],
+    )
+    keys = plan.add(Fetch(), [cands, scan("lineitem", "l_tax")])
+    price = plan.add(Fetch(), [cands, scan("lineitem", "l_extendedprice")])
+    disc = plan.add(Fetch(), [cands, scan("lineitem", "l_discount")])
+    volume = plan.add(Calc("*"), [price, disc])
+    sums = plan.add(GroupAggregate("sum"), [keys, volume])
+    counts = plan.add(GroupAggregate("count"), [keys])
+    plan.set_outputs([sums, counts])
+    return plan
 
 
 def _suite(quick: bool) -> list[tuple[str, Plan, SimulationConfig]]:

@@ -24,8 +24,6 @@ Commands
 ``bench NAME``
     Run one of the paper's experiments (``fig11``, ``fig12`` ...) and
     print its paper-vs-measured report, or a report bench:
-    ``wallclock`` (host wall-clock of full adaptive instances with the
-    cross-run result cache off vs on, see ``docs/perf.md``),
     ``convergence`` or ``scaleout``.  A report bench prints its text,
     writes ``BENCH_<name>.json`` (``BENCH_<name>_quick.json`` with
     ``--quick``, or ``--output``), renders
@@ -84,7 +82,6 @@ from .workloads import TpcdsDataset, TpchDataset
 
 #: Benches that write a JSON report and take ``--gate``.
 _REPORT_BENCHES = {
-    "wallclock": "host wall-clock of adaptive instances, cache off vs on",
     "convergence": "convergence policies: credit/debit vs warm-start vs bandit",
     "scaleout": "shared-nothing speedup vs nodes, skew straggler, node failure",
 }
@@ -267,23 +264,9 @@ def _build_parser() -> argparse.ArgumentParser:
             f"or BENCH_{name}_quick.json with --quick)",
         )
         _gate_arg(report)
-    for name in ("convergence", "scaleout"):
-        reports[name].add_argument(
+        report.add_argument(
             "--figure", metavar="FILE", help="also export the report's SVG figure"
         )
-    reports["wallclock"].set_defaults(figure=None)
-    reports["wallclock"].add_argument(
-        "--workers",
-        metavar="N[,M...]",
-        help="comma-separated evaluation-pool worker counts to sweep "
-        "(workers=1 is always included; default: 1 and host cpu count)",
-    )
-    reports["wallclock"].add_argument(
-        "--backend",
-        metavar="B[,B...]",
-        help="comma-separated evaluation backends to sweep "
-        "(e.g. 'inline,thread'; default: thread)",
-    )
     reports["scaleout"].add_argument(
         "--nodes",
         metavar="N[,M...]",
@@ -476,8 +459,8 @@ def _dataset_args(parser: argparse.ArgumentParser) -> None:
 
 def _dataset(args) -> TpchDataset | TpcdsDataset:
     if args.workload == "tpch":
-        return TpchDataset(scale_factor=args.sf if args.sf else 10)
-    return TpcdsDataset(scale_factor=args.sf if args.sf else 100)
+        return TpchDataset(scale_factor=10 if args.sf is None else args.sf)
+    return TpcdsDataset(scale_factor=100 if args.sf is None else args.sf)
 
 
 def _config(args, dataset) -> SimulationConfig:
@@ -736,36 +719,15 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _csv(text: str | None, kind, option: str) -> list | None:
-    """A comma-separated option value, or ``None`` when not given."""
-    if text is None:
-        return None
-    try:
-        return [kind(part.strip()) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ReproError(
-            f"{option} wants comma-separated values, got {text!r}"
-        ) from None
-
-
 def _cmd_report_bench(args) -> int:
-    """``repro bench wallclock|convergence|scaleout``: run, write, gate."""
+    """``repro bench convergence|scaleout``: run, write, gate."""
     import json
 
     from .bench.gates import check_gates, parse_gate
 
     for gate in args.gate:
         parse_gate(gate)  # a malformed gate fails before the bench runs
-    if args.name == "wallclock":
-        from .bench import wallclock as bench
-
-        report = bench.run_wallclock(
-            quick=args.quick,
-            workers=_csv(args.workers, int, "--workers"),
-            backends=_csv(args.backend, str, "--backend"),
-        )
-        print(bench.format_report(report))
-    elif args.name == "convergence":
+    if args.name == "convergence":
         from .bench import convergence as bench
         from .viz.policies import render_policy_figure as render
 
@@ -775,11 +737,15 @@ def _cmd_report_bench(args) -> int:
         from .bench import scaleout as bench
         from .viz.scaleout import render_scaleout_figure as render
 
-        nodes = _csv(args.nodes, int, "--nodes")
-        report = bench.run_scaleout(
-            quick=args.quick,
-            nodes=bench.DEFAULT_NODES if nodes is None else tuple(nodes),
-        )
+        nodes = bench.DEFAULT_NODES
+        if args.nodes is not None:
+            try:
+                nodes = tuple(int(n) for n in args.nodes.split(",") if n.strip())
+            except ValueError:
+                raise ReproError(
+                    f"--nodes wants comma-separated values, got {args.nodes!r}"
+                ) from None
+        report = bench.run_scaleout(quick=args.quick, nodes=nodes)
         print(bench.format_scaleout_report(report))
     # A quick run never lands on the committed full-mode report.
     output = args.output or f"BENCH_{args.name}{'_quick' if args.quick else ''}.json"
@@ -974,9 +940,9 @@ async def _serve_async(args) -> int:
             raise ReproError(f"cannot read tenants file: {exc}") from exc
         tenants = parse_tenants(text)
     if args.workload == "tpch":
-        dataset = TpchDataset(scale_factor=args.sf if args.sf else 1)
+        dataset = TpchDataset(scale_factor=1 if args.sf is None else args.sf)
     else:
-        dataset = TpcdsDataset(scale_factor=args.sf if args.sf else 100)
+        dataset = TpcdsDataset(scale_factor=100 if args.sf is None else args.sf)
     config = _config(args, dataset)
     if args.seed is not None:
         config = config.with_seed(args.seed)

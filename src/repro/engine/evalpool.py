@@ -96,7 +96,7 @@ def default_workers(_cgroup_base: str = "/sys/fs/cgroup") -> int:
     Memoized per process (keyed on the cgroup base, so tests probing
     synthetic cgroup trees stay independent): affinity and quota don't
     change mid-run, and the cgroup filesystem reads were showing up in
-    ``repro bench wallclock`` stage timings.  Use
+    the host timings of adaptive instances.  Use
     ``default_workers.cache_clear()`` to force a re-probe.
     """
     return _default_workers_uncached(_cgroup_base)
@@ -183,7 +183,7 @@ class PoolStats:
     backend_stats: dict[str, float | int] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, float | int]:
-        """JSON-ready counters (used by the wall-clock benchmark)."""
+        """JSON-ready counters (published by :meth:`Observer.record_pool`)."""
         doc: dict[str, float | int] = {
             "batches": self.batches,
             "parallel_batches": self.parallel_batches,

@@ -80,17 +80,6 @@ class CacheStats:
         total = self.lookups
         return self.hits / total if total else 0.0
 
-    def as_dict(self) -> dict[str, float | int]:
-        """JSON-ready counters (used by the wall-clock benchmark)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "insertions": self.insertions,
-            "oversized": self.oversized,
-            "hit_rate": self.hit_rate,
-        }
-
 
 class IntermediateCache:
     """Bounded LRU map: plan fingerprint -> (intermediate, work profile).

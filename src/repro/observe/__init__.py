@@ -22,8 +22,7 @@ Usage::
 Guarantees (enforced by the golden-trace suite under ``tests/observe``):
 
 * **Zero-cost when disabled** -- no observer attached means one
-  ``is not None`` check per instrumented site; the wall-clock benchmark
-  gates the overhead at <= 3%.
+  ``is not None`` check per instrumented site.
 * **Bit-deterministic when enabled** -- the canonical projection
   (:func:`~repro.observe.canonical.canonical_json`) is byte-identical
   across repeated seeded runs and for any host ``workers`` count; host

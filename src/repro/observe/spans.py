@@ -24,8 +24,7 @@ Zero-cost when disabled
 -----------------------
 There is deliberately no "null tracer": instrumented call sites keep a
 plain ``observer is not None`` guard, so disabled tracing costs one
-attribute load and one comparison per site (gated by the wall-clock
-benchmark, see ``docs/perf.md``).
+attribute load and one comparison per site (see ``docs/perf.md``).
 """
 
 from __future__ import annotations

@@ -18,6 +18,11 @@ do not depend on it either way.
 An exception that is not a :class:`~repro.errors.ReproError`, from
 planning or from the simulator, answers its statements with a chained
 ``ServeError("internal error: ...")`` and the thread keeps serving.
+Should the thread end anyway (a ``BaseException`` raised in it), it
+first answers every job it holds or has queued with a ``ServeError``,
+and the engine refuses new statements from then on.  A job whose
+future was cancelled before the thread took it is dropped unanswered,
+as a :class:`concurrent.futures.Executor` drops it.
 
 ``canonical=True`` requests are executed solo with a fresh
 :class:`~repro.observe.Observer`, so the canonical observation bytes
@@ -188,6 +193,8 @@ class ServeEngine:
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
         self._closed = False
+        #: Set by the worker thread as it ends; refuses new statements.
+        self._stopped = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -227,14 +234,6 @@ class ServeEngine:
             self._queue.put(_STOP)
         if thread is not None:
             thread.join()
-        # Jobs that raced past the closed check after the sentinel.
-        while True:
-            try:
-                job = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if job is not _STOP:
-                job.future.set_exception(ServeError("engine closed"))
         if self._pool is not None:
             self._pool.close()
 
@@ -271,6 +270,8 @@ class ServeEngine:
                 raise ServeError("engine is closed")
             if self._thread is None:
                 raise ServeError("engine not started (call start() first)")
+            if self._stopped:
+                raise ServeError("engine thread has stopped")
             self._queue.put(job)
         return job.future
 
@@ -278,24 +279,44 @@ class ServeEngine:
     # worker thread
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is _STOP:
-                return
-            batch = [job]
-            stop = False
-            while len(batch) < self._max_batch:
+        # A job is taken by marking its future running; one cancelled
+        # while queued is dropped (the concurrent.futures protocol).
+        batch: list[_Job] = []
+        try:
+            while True:
+                job = self._queue.get()
+                if job is _STOP:
+                    return
+                batch = [job] if job.future.set_running_or_notify_cancel() else []
+                stop = False
+                while len(batch) < self._max_batch:
+                    try:
+                        nxt = self._queue.get_nowait()
+                    except queue.Empty:
+                        break
+                    if nxt is _STOP:
+                        stop = True
+                        break
+                    if nxt.future.set_running_or_notify_cancel():
+                        batch.append(nxt)
+                if batch:
+                    self._execute_batch(batch)
+                if stop:
+                    return
+        finally:
+            # However the thread ends, no accepted job stays unanswered.
+            with self._lock:
+                self._stopped = True
+            leftovers = [job for job in batch if not job.future.done()]
+            while True:
                 try:
                     nxt = self._queue.get_nowait()
                 except queue.Empty:
                     break
-                if nxt is _STOP:
-                    stop = True
-                    break
-                batch.append(nxt)
-            self._execute_batch(batch)
-            if stop:
-                return
+                if nxt is not _STOP and nxt.future.set_running_or_notify_cancel():
+                    leftovers.append(nxt)
+            for job in leftovers:
+                job.future.set_exception(ServeError("engine thread has stopped"))
 
     def _execute_batch(self, batch: list[_Job]) -> None:
         t0 = time.perf_counter()

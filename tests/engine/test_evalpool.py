@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.bench.wallclock import q1_style_plan as tpch_q1_style_plan
+from repro.bench.convergence import q1_style_plan as tpch_q1_style_plan
 from repro.config import SimulationConfig, laptop_machine
 from repro.core import AdaptiveParallelizer, ConvergenceParams
 from repro.core.adaptive import intermediates_equal

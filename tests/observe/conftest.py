@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.wallclock import q1_style_plan
+from repro.bench.convergence import q1_style_plan
 from repro.core import AdaptiveParallelizer, ConvergenceParams
 from repro.engine import execute
 from repro.observe import Observer

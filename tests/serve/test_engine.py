@@ -218,6 +218,67 @@ class TestLifecycle:
         assert engine.running
 
 
+    def test_cancelled_job_is_dropped(self, engine, monkeypatch):
+        # Hold the first batch in planning so the rest queue behind it.
+        entered = threading.Event()
+        gate = threading.Event()
+        template = engine.plans.template
+
+        def held(sql):
+            entered.set()
+            gate.wait(timeout=30)
+            return template(sql)
+
+        monkeypatch.setattr(engine.plans, "template", held)
+        first = engine.submit_sql(COUNT_SQL)
+        assert entered.wait(timeout=30)
+        queued = [engine.submit_sql(SUM_SQL) for _ in range(5)]
+        assert queued[2].cancel()
+        gate.set()
+        for future in [first, *queued[:2], *queued[3:]]:
+            assert future.result(timeout=10)["rows"]
+        assert queued[2].cancelled()
+        assert engine.submit_sql(COUNT_SQL).result(timeout=10)["rows"]
+        assert engine.running
+
+    def test_ended_thread_answers_every_job(
+        self, serve_config, small_catalog, monkeypatch
+    ):
+        ended = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: ended.append(args.exc_type)
+        )
+        engine = ServeEngine(serve_config, small_catalog).start()
+        entered = threading.Event()
+        release = threading.Event()
+
+        def dies(batch):
+            entered.set()
+            release.wait(timeout=30)
+            raise EngineThreadKilled
+
+        engine._execute_batch = dies
+        held = engine.submit_sql(COUNT_SQL)
+        assert entered.wait(timeout=30)
+        queued = [engine.submit_sql(SUM_SQL) for _ in range(3)]
+        assert queued[1].cancel()
+        release.set()
+        for future in [held, queued[0], queued[2]]:
+            with pytest.raises(ServeError, match="engine thread has stopped"):
+                future.result(timeout=10)
+        assert queued[1].cancelled()
+        engine._thread.join(timeout=10)
+        assert not engine.running
+        assert ended == [EngineThreadKilled]
+        with pytest.raises(ServeError, match="engine thread has stopped"):
+            engine.submit_sql(COUNT_SQL)
+        engine.close()
+
+
+class EngineThreadKilled(BaseException):
+    """Ends the engine thread: no ``except Exception`` catches it."""
+
+
 class TestRenderOutputs:
     def test_scalar_bat_candidates(self):
         head = np.arange(5, dtype=np.int64)

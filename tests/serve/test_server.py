@@ -461,3 +461,56 @@ class TestGracefulShutdown:
             if t.name.startswith("repro-eval")
         ]
         assert not left, f"pool threads outlived the server: {left}"
+
+
+class EngineThreadKilled(BaseException):
+    """Ends the engine thread: no ``except Exception`` catches it."""
+
+
+class TestEndedEngineThread:
+    def test_queries_answered_and_stop_returns(
+        self, serve_config, small_catalog, monkeypatch
+    ):
+        from repro.errors import ServeError
+        from repro.serve import Request
+
+        ended = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: ended.append(args.exc_type)
+        )
+
+        async def main():
+            # Two queries fit the engine; a third waits in the scheduler.
+            server = ReproServer(serve_config, small_catalog, max_in_flight=2)
+            await server.start()
+            release, entered = _gate_engine(server)
+            original = server.engine._execute_batch
+
+            def dies(batch):
+                original(batch)
+                raise EngineThreadKilled
+
+            server.engine._execute_batch = dies
+
+            def query():
+                return asyncio.ensure_future(
+                    server.execute_query("gold", Request(op="query", sql=COUNT_SQL))
+                )
+
+            held = query()
+            await asyncio.get_running_loop().run_in_executor(
+                None, lambda: entered.wait(timeout=30)
+            )
+            pending = [query(), query()]
+            await asyncio.sleep(0)
+            assert server.scheduler.in_flight == 2
+            release.set()
+            assert (await asyncio.wait_for(held, 10))["rows"]
+            for task in [*pending, query()]:
+                with pytest.raises(ServeError, match="engine thread has stopped"):
+                    await asyncio.wait_for(task, 10)
+            await asyncio.wait_for(server.stop(), 10)
+            assert not server.engine.running
+
+        asyncio.run(main())
+        assert ended == [EngineThreadKilled]
